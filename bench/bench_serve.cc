@@ -61,11 +61,6 @@ struct RunConfig {
   /// Part of the QPS-vs-workers sweep (same queue/pressure shape, only
   /// the worker count varies) — these rows feed the "scaling" JSON curve.
   bool in_scaling_curve = false;
-  /// Intra-request parallelism (the heavy-doc sweep): dedicated task
-  /// threads for the service's work-stealing scheduler, and the per-request
-  /// task cap. Zero threads = no scheduler (the serial default).
-  size_t task_threads = 0;
-  size_t max_tasks_per_request = 0;
 };
 
 struct RunOutcome {
@@ -100,8 +95,6 @@ RunOutcome RunClosedLoop(const core::NedSystem& system,
   options.queue_capacity = config.queue;
   options.default_deadline_seconds = config.deadline_seconds;
   options.shared_cache = shared_cache;
-  options.parallelism.task_threads = config.task_threads;
-  options.parallelism.max_tasks_per_request = config.max_tasks_per_request;
   serve::NedService service(kb::KbSnapshot::WrapUnowned(system, "bench-fixed"),
                             options);
 
@@ -287,7 +280,7 @@ struct AllocProbeReport {
 /// The committed steady-state bound for the smoke gate, in allocations
 /// per warm cached request on the smoke corpus. The paired ctest
 /// regression (AllocProbeTest) pins the micro-paths (dictionary lookup,
-/// cache hit, histogram record, warm fork-join) at exactly zero; this
+/// cache hit, histogram record) at exactly zero; this
 /// end-to-end bound additionally covers per-request result assembly and
 /// per-document graph scratch, which scale with document size and so
 /// cannot be zero. Raising it requires a comment explaining which new
@@ -327,27 +320,12 @@ struct ScalingPoint {
   double speedup = 0.0;  // vs the 1-worker point of the same sweep
 };
 
-/// One point of the heavy-doc intra-request parallelism sweep: the same
-/// 50+ mention corpus and client pressure, only max_tasks_per_request
-/// varies. p99_speedup is the serial (1-task) p99 over this point's p99.
-struct HeavyDocPoint {
-  size_t max_tasks = 0;
-  double qps = 0.0;
-  double p50_ms = 0.0;
-  double p95_ms = 0.0;
-  double p99_ms = 0.0;
-  uint64_t parallel_tasks = 0;
-  uint64_t parallel_steals = 0;
-  double p99_speedup = 0.0;
-};
-
 std::string JsonOutputPath() { return bench::JsonOutputPath("BENCH_serve.json"); }
 
 /// `steady`/`reload` may be null (smoke mode skips the reload scenario);
 /// the JSON then carries "reload_under_load": null.
 void WriteJson(const std::vector<std::pair<RunConfig, RunOutcome>>& runs,
                const std::vector<ScalingPoint>& scaling,
-               const std::vector<HeavyDocPoint>& heavy,
                const AllocProbeReport& alloc,
                const RunConfig* reload_config, const ReloadOutcome* steady,
                const ReloadOutcome* reload) {
@@ -379,19 +357,6 @@ void WriteJson(const std::vector<std::pair<RunConfig, RunOutcome>>& runs,
                  "    {\"workers\": %zu, \"qps\": %.1f, \"speedup\": %.3f}%s\n",
                  scaling[i].workers, scaling[i].qps, scaling[i].speedup,
                  i + 1 < scaling.size() ? "," : "");
-  }
-  std::fprintf(out, "  ],\n  \"heavy_doc\": [\n");
-  for (size_t i = 0; i < heavy.size(); ++i) {
-    const HeavyDocPoint& p = heavy[i];
-    std::fprintf(
-        out,
-        "    {\"max_tasks\": %zu, \"qps\": %.1f, \"p50_ms\": %.3f, "
-        "\"p95_ms\": %.3f, \"p99_ms\": %.3f, \"parallel_tasks\": %llu, "
-        "\"parallel_steals\": %llu, \"p99_speedup\": %.3f}%s\n",
-        p.max_tasks, p.qps, p.p50_ms, p.p95_ms, p.p99_ms,
-        static_cast<unsigned long long>(p.parallel_tasks),
-        static_cast<unsigned long long>(p.parallel_steals), p.p99_speedup,
-        i + 1 < heavy.size() ? "," : "");
   }
   std::fprintf(out, "  ],\n");
   // Steady-state allocator traffic of one warm cached request (see
@@ -466,16 +431,6 @@ int main() {
   synth::World world = synth::WorldGenerator(preset.world).Generate();
   corpus::Corpus docs =
       synth::CorpusGenerator(&world, preset.corpus).Generate();
-  // Heavy-document corpus for the intra-request parallelism sweep (50+
-  // mentions per document); generated while the world still owns its KB.
-  synth::CorpusConfig heavy_config = preset.corpus;
-  heavy_config.seed = 2026;
-  heavy_config.num_documents = smoke ? 6 : 12;
-  heavy_config.doc_tokens = 500;
-  heavy_config.entities_per_doc = 35;  // x1.5 repeats => 50+ mentions/doc
-  heavy_config.mention_repeat = 1.5;
-  corpus::Corpus heavy_docs =
-      synth::CorpusGenerator(&world, heavy_config).Generate();
   // The registry-backed scenario shares ownership of the KB with the
   // snapshots it publishes, so the world's KB moves into a shared_ptr.
   std::shared_ptr<const kb::KnowledgeBase> base_kb =
@@ -633,103 +588,12 @@ int main() {
   }
   std::printf("\n");
 
-  // --- Heavy documents: p99 vs max-tasks-per-request -------------------
-  // Few clients, 50+ mention documents: the workload where one request is
-  // too big for one core and intra-request task parallelism is the only
-  // way to move the tail. Same service shape at every point (2 workers, a
-  // dedicated task-thread pool); only the per-request task cap varies.
-  bench::PrintHeader("aida::serve — heavy documents, p99 vs max tasks");
-  std::vector<core::DisambiguationProblem> heavy_work;
-  heavy_work.reserve(heavy_docs.size());
-  size_t heavy_mentions = 0;
-  for (const corpus::Document& doc : heavy_docs) {
-    heavy_mentions += doc.mentions.size();
-    heavy_work.push_back(bench::ToProblem(doc));
-  }
-  // Uncached relatedness: every request pays the full coherence cost, the
-  // phase the task engine parallelizes.
-  std::vector<core::DisambiguationResult> heavy_gold;
-  heavy_gold.reserve(heavy_work.size());
-  util::Stopwatch heavy_watch;
-  for (const core::DisambiguationProblem& problem : heavy_work) {
-    heavy_gold.push_back(serial.Disambiguate(problem, {}));
-  }
-  const double heavy_serial_seconds = heavy_watch.ElapsedSeconds();
-  std::printf("corpus: %zu documents, %.1f mentions/doc; serial Aida "
-              "%.2f ms/doc\n\n",
-              heavy_docs.size(),
-              static_cast<double>(heavy_mentions) / heavy_docs.size(),
-              1000 * heavy_serial_seconds / heavy_docs.size());
-
-  const size_t task_threads = std::min<size_t>(7, std::max<size_t>(1, hw - 1));
-  const double heavy_duration = smoke ? 0.5 : 1.2;
-  std::vector<size_t> task_sweep =
-      smoke ? std::vector<size_t>{1, 8} : std::vector<size_t>{1, 2, 4, 8};
-  std::printf("%-26s %8s %8s %8s %8s %10s\n", "config", "QPS", "p50ms",
-              "p95ms", "p99ms", "p99 spdup");
-  bench::PrintRule();
-  std::vector<HeavyDocPoint> heavy_points;
-  for (size_t max_tasks : task_sweep) {
-    RunConfig config;
-    config.label = "2w/32q/2c heavy " + std::to_string(max_tasks) + "t";
-    config.workers = 2;
-    config.queue = 32;
-    config.clients = 2;
-    config.deadline_seconds = 0.0;
-    config.duration_seconds = heavy_duration;
-    config.task_threads = task_threads;
-    config.max_tasks_per_request = max_tasks;
-    RunOutcome outcome =
-        RunClosedLoop(serial, nullptr, heavy_work, heavy_gold, config);
-    total_mismatches += outcome.mismatches;
-    if (outcome.mismatches != 0) {
-      std::printf("  !! %zu parallel responses differed from serial Aida\n",
-                  outcome.mismatches);
-    }
-    const serve::ServiceMetricsSnapshot& m = outcome.snapshot.metrics;
-    HeavyDocPoint point;
-    point.max_tasks = max_tasks;
-    point.qps = Qps(outcome.completed, outcome.elapsed_seconds);
-    point.p50_ms = 1000 * m.total_latency.p50_seconds;
-    point.p95_ms = 1000 * m.total_latency.p95_seconds;
-    point.p99_ms = 1000 * m.total_latency.p99_seconds;
-    point.parallel_tasks = m.parallel_tasks;
-    point.parallel_steals = m.parallel_steals;
-    point.p99_speedup = !heavy_points.empty() && point.p99_ms > 0.0
-                            ? heavy_points.front().p99_ms / point.p99_ms
-                            : 1.0;
-    std::printf("%-26s %8.0f %8.2f %8.2f %8.2f %9.2fx\n", config.label.c_str(),
-                point.qps, point.p50_ms, point.p95_ms, point.p99_ms,
-                point.p99_speedup);
-    heavy_points.push_back(point);
-  }
-  bench::PrintRule();
-  std::printf("  (task threads: %zu; machine has %zu hardware threads)\n\n",
-              task_threads, hw);
-
-  bool heavy_healthy = true;
-  if (hw >= 4 && heavy_points.size() >= 2) {
-    // The regression gate: intra-request parallelism must never make the
-    // heavy tail WORSE than serial. (On big multi-core machines the full
-    // run should show >= 2x; CI smoke only gates the >= 1.0x floor.)
-    const HeavyDocPoint& top = heavy_points.back();
-    if (top.p99_speedup < 1.0) {
-      std::printf("  !! heavy-doc regression: %zu tasks p99 %.2f ms is worse "
-                  "than serial p99 %.2f ms\n",
-                  top.max_tasks, top.p99_ms, heavy_points.front().p99_ms);
-      heavy_healthy = false;
-    }
-  }
-
   if (smoke) {
     // Smoke mode stops here: no reload scenario; gate on scaling and
-    // heavy-doc health.
-    WriteJson(runs, scaling, heavy_points, alloc_report, nullptr, nullptr,
-              nullptr);
-    return (total_mismatches == 0 && scaling_healthy && heavy_healthy &&
-            alloc_healthy)
-               ? 0
-               : 1;
+    // allocation health.
+    WriteJson(runs, scaling, alloc_report, nullptr, nullptr, nullptr);
+    return (total_mismatches == 0 && scaling_healthy && alloc_healthy) ? 0
+                                                                        : 1;
   }
 
   // --- Hot reload under load -------------------------------------------
@@ -806,10 +670,9 @@ int main() {
   std::printf("served generations byte-identical to their serial gold: %s\n",
               reload.mismatches == 0 ? "yes" : "NO");
 
-  WriteJson(runs, scaling, heavy_points, alloc_report, &reload_config, &steady,
-            &reload);
+  WriteJson(runs, scaling, alloc_report, &reload_config, &steady, &reload);
   return (total_mismatches == 0 && reload_healthy && scaling_healthy &&
-          heavy_healthy && alloc_healthy)
+          alloc_healthy)
              ? 0
              : 1;
 }

@@ -4,7 +4,6 @@
 #include <cstdint>
 
 #include "core/robustness.h"
-#include "task/parallel_for.h"
 #include "util/status.h"
 #include "util/stopwatch.h"
 
@@ -40,6 +39,9 @@ DisambiguationResult Aida::Disambiguate(
   const kb::KnowledgeBase& kb = models_->knowledge_base();
   util::Stopwatch total_watch;
   util::Stopwatch phase_watch;
+  auto tripped = [&] {
+    return options.cancel != nullptr && options.cancel->cancelled();
+  };
 
   ExtendedVocabulary plain_vocab(&kb.keyphrases());
   const ExtendedVocabulary& vocab =
@@ -53,17 +55,13 @@ DisambiguationResult Aida::Disambiguate(
   // Cooperative cancellation, checked between phases: a request whose
   // deadline already passed (e.g. while queued in serve::NedService) must
   // not pay for candidate lookups at all.
-  if (options.cancel != nullptr && options.cancel->cancelled()) {
+  if (tripped()) {
     result.cancelled = true;
     result.stats.total_seconds = total_watch.ElapsedSeconds();
     return result;
   }
 
   // ---- Candidate resolution and local features ------------------------------
-  // Each mention's lookup and scoring is independent and writes only its
-  // own slots (uint8_t instead of vector<bool> so parallel writes do not
-  // share bit-packed words); with parallelism enabled the mentions run as
-  // tasks, byte-identical to the serial loop.
   std::vector<std::vector<Candidate>> owned(num_mentions);
   std::vector<const std::vector<Candidate>*> candidates(num_mentions);
   std::vector<std::vector<double>> priors(num_mentions);
@@ -72,7 +70,8 @@ DisambiguationResult Aida::Disambiguate(
   std::vector<uint8_t> fixed(num_mentions, 0);
   std::vector<size_t> fixed_choice(num_mentions, 0);
 
-  auto score_mention = [&](size_t m) {
+  for (size_t m = 0; m < num_mentions; ++m) {
+    if (tripped()) break;
     const ProblemMention& mention = problem.mentions[m];
     if (mention.candidates_resolved) {
       candidates[m] = &mention.candidates;
@@ -90,7 +89,7 @@ DisambiguationResult Aida::Disambiguate(
                         similarity_.Score(context, mention.begin_token,
                                           mention.end_token, *cand.model));
     }
-    if (cands.empty()) return;
+    if (cands.empty()) continue;
 
     std::vector<double> sim_dist = robustness::ToDistribution(sims[m]);
     bool prior_ok =
@@ -120,25 +119,6 @@ DisambiguationResult Aida::Disambiguate(
         fixed_choice[m] = robustness::ArgMax(combined[m]);
       }
     }
-  };
-
-  const ParallelismOptions& par = options.parallel;
-  const size_t local_tasks =
-      par.enabled() && num_mentions >= par.min_parallel_mentions ? par.max_tasks
-                                                                 : 1;
-  util::Stopwatch local_parallel_watch;
-  const task::ParallelForStats local_stats = task::ParallelChunks(
-      par.scheduler, num_mentions, local_tasks, options.cancel,
-      [&](size_t begin, size_t end) {
-        for (size_t m = begin; m < end; ++m) {
-          if (options.cancel != nullptr && options.cancel->cancelled()) return;
-          score_mention(m);
-        }
-      });
-  if (local_tasks > 1) {
-    result.stats.local_parallel_seconds = local_parallel_watch.ElapsedSeconds();
-    result.stats.parallel_tasks += local_stats.tasks;
-    result.stats.parallel_steals += local_stats.stolen;
   }
 
   // ---- Local-only path -------------------------------------------------------
@@ -164,14 +144,13 @@ DisambiguationResult Aida::Disambiguate(
 
   auto fill_local_only = [&] {
     for (size_t m = 0; m < num_mentions; ++m) {
+      // A cancel during the local phase leaves the mentions it never
+      // reached unresolved: their results stay empty, as after a
+      // pre-phase cancel.
+      if (candidates[m] == nullptr) continue;
       if (candidates[m]->empty()) {
         fill_result(m, -1, {});
         continue;
-      }
-      // A mid-phase cancel can leave a mention unscored; give it zero
-      // scores so the degraded result stays well-formed.
-      if (combined[m].size() != candidates[m]->size()) {
-        combined[m].assign(candidates[m]->size(), 0.0);
       }
       fill_result(m, static_cast<int32_t>(robustness::ArgMax(combined[m])),
                   combined[m]);
@@ -181,7 +160,7 @@ DisambiguationResult Aida::Disambiguate(
 
   // A token that tripped during the local phase skips everything
   // downstream and degrades to local-only choices.
-  if (local_stats.cancelled) {
+  if (tripped()) {
     fill_local_only();
     result.cancelled = true;
     return result;
@@ -189,12 +168,6 @@ DisambiguationResult Aida::Disambiguate(
 
   if (!options_.use_coherence) {
     fill_local_only();
-    return result;
-  }
-
-  if (options.cancel != nullptr && options.cancel->cancelled()) {
-    fill_local_only();
-    result.cancelled = true;
     return result;
   }
 
@@ -222,47 +195,26 @@ DisambiguationResult Aida::Disambiguate(
     input.mentions[m].candidates = &graph_cands[m];
   }
 
-  GraphBuildContext build_context;
-  build_context.cancel = options.cancel;
-  if (par.enabled()) {
-    build_context.scheduler = par.scheduler;
-    build_context.max_tasks = par.max_tasks;
-    build_context.min_batch_pairs = par.min_batch_pairs;
-  }
-  MentionEntityGraph meg =
-      BuildMentionEntityGraph(input, *relatedness_, build_context);
+  MentionEntityGraph meg = BuildMentionEntityGraph(
+      input, *relatedness_, GraphBuildContext{.cancel = options.cancel});
   result.stats.relatedness_computations = meg.relatedness_computations;
   result.stats.relatedness_cache_hits = meg.relatedness_cache_hits;
   result.stats.graph_build_seconds = phase_watch.ElapsedSeconds();
-  result.stats.graph_build_parallel_seconds = meg.parallel_seconds;
-  result.stats.parallel_tasks += meg.parallel_tasks;
-  result.stats.parallel_steals += meg.parallel_steals;
 
   // Deadline tripped while building the graph (the relatedness-dominated
-  // phase, polled inside the batched pair evaluation): skip the solver
-  // and the full candidate re-scoring.
-  if (meg.aborted ||
-      (options.cancel != nullptr && options.cancel->cancelled())) {
+  // phase, polled inside the pair evaluation loop): skip the solver and
+  // the full candidate re-scoring.
+  if (meg.aborted || tripped()) {
     fill_local_only();
     result.cancelled = true;
     return result;
   }
 
   phase_watch.Reset();
-  GraphSolveContext solve_context;
-  solve_context.cancel = options.cancel;
-  if (par.enabled()) {
-    solve_context.scheduler = par.scheduler;
-    solve_context.max_tasks = par.max_tasks;
-    solve_context.min_parallel_nodes = par.min_parallel_nodes;
-  }
-  GraphSolution sol =
-      SolveMentionEntityGraph(meg, options_.graph, solve_context);
+  GraphSolution sol = SolveMentionEntityGraph(
+      meg, options_.graph, GraphSolveContext{.cancel = options.cancel});
   result.stats.graph_iterations = sol.iterations;
   result.stats.graph_solve_seconds = phase_watch.ElapsedSeconds();
-  result.stats.graph_solve_parallel_seconds = sol.parallel_seconds;
-  result.stats.parallel_tasks += sol.parallel_tasks;
-  result.stats.parallel_steals += sol.parallel_steals;
 
   // The solver polls the token inside its pre-prune, peel, and
   // post-processing loops; an aborted solution is partial and discarded.
@@ -284,53 +236,34 @@ DisambiguationResult Aida::Disambiguate(
 
   // Weighted-degree style candidate scores: local weight plus coherence to
   // the entities chosen for the other mentions (used by the confidence
-  // machinery of Section 5.4). Each mention's scores depend only on the
-  // fixed `chosen` assignment, so mentions rescore as independent tasks
-  // with per-mention relatedness counters, folded serially in mention
-  // order afterwards.
+  // machinery of Section 5.4).
   std::vector<std::vector<double>> rescored(num_mentions);
-  std::vector<uint64_t> rescore_hits(num_mentions, 0);
-  std::vector<uint64_t> rescore_misses(num_mentions, 0);
-  const size_t rescore_tasks =
-      par.enabled() && num_mentions >= par.min_parallel_mentions ? par.max_tasks
-                                                                 : 1;
-  const task::ParallelForStats rescore_stats = task::ParallelChunks(
-      par.scheduler, num_mentions, rescore_tasks, options.cancel,
-      [&](size_t begin, size_t end) {
-        for (size_t m = begin; m < end; ++m) {
-          if (options.cancel != nullptr && options.cancel->cancelled()) return;
-          const std::vector<Candidate>& cands = *candidates[m];
-          if (cands.empty()) continue;
-          std::vector<double>& scores = rescored[m];
-          scores.assign(cands.size(), 0.0);
-          for (size_t c = 0; c < cands.size(); ++c) {
-            double coherence = 0.0;
-            for (size_t other = 0; other < num_mentions; ++other) {
-              if (other == m || chosen[other] == nullptr) continue;
-              bool cache_hit = false;
-              coherence +=
-                  cands[c].weight_scale * chosen[other]->weight_scale *
-                  relatedness_->RelatednessTracked(cands[c], *chosen[other],
-                                                   &cache_hit);
-              if (cache_hit) {
-                ++rescore_hits[m];
-              } else {
-                ++rescore_misses[m];
-              }
-            }
-            scores[c] =
-                options_.me_scale * combined[m][c] +
-                options_.ee_scale * coherence /
-                    std::max<double>(1.0, static_cast<double>(num_mentions));
-          }
+  for (size_t m = 0; m < num_mentions; ++m) {
+    if (tripped()) break;
+    const std::vector<Candidate>& cands = *candidates[m];
+    if (cands.empty()) continue;
+    std::vector<double>& scores = rescored[m];
+    scores.assign(cands.size(), 0.0);
+    for (size_t c = 0; c < cands.size(); ++c) {
+      double coherence = 0.0;
+      for (size_t other = 0; other < num_mentions; ++other) {
+        if (other == m || chosen[other] == nullptr) continue;
+        bool cache_hit = false;
+        coherence += cands[c].weight_scale * chosen[other]->weight_scale *
+                     relatedness_->RelatednessTracked(cands[c], *chosen[other],
+                                                      &cache_hit);
+        if (cache_hit) {
+          ++result.stats.relatedness_cache_hits;
+        } else {
+          ++result.stats.relatedness_computations;
         }
-      });
-  if (rescore_tasks > 1) {
-    result.stats.parallel_tasks += rescore_stats.tasks;
-    result.stats.parallel_steals += rescore_stats.stolen;
+      }
+      scores[c] = options_.me_scale * combined[m][c] +
+                  options_.ee_scale * coherence /
+                      std::max<double>(1.0, static_cast<double>(num_mentions));
+    }
   }
-  if (rescore_stats.cancelled ||
-      (options.cancel != nullptr && options.cancel->cancelled())) {
+  if (tripped()) {
     fill_local_only();
     result.cancelled = true;
     return result;
@@ -340,8 +273,6 @@ DisambiguationResult Aida::Disambiguate(
       fill_result(m, -1, {});
       continue;
     }
-    result.stats.relatedness_cache_hits += rescore_hits[m];
-    result.stats.relatedness_computations += rescore_misses[m];
     fill_result(m, chosen_original[m], rescored[m]);
   }
   result.stats.total_seconds = total_watch.ElapsedSeconds();

@@ -8,10 +8,8 @@
 
 #include "graph/dense_subgraph.h"
 #include "graph/shortest_paths.h"
-#include "task/parallel_for.h"
 #include "util/rng.h"
 #include "util/status.h"
-#include "util/stopwatch.h"
 
 namespace aida::core {
 
@@ -49,45 +47,25 @@ GraphSolution SolveMentionEntityGraph(
   // Keep the entity nodes closest to the mention set, measured by the sum
   // of squared shortest-path distances; always retain each mention's
   // heaviest candidate so every mention stays coverable. One Dijkstra per
-  // mention — independent work, so each runs as its own task writing its
-  // own squared-distance vector; the vectors are folded serially in
-  // mention order, keeping the FP accumulation order of the serial loop.
+  // mention, its squared distances summed in mention order.
   std::vector<bool> keep_entity(num_entities, true);
   const size_t budget =
       options.entities_per_mention_budget * mentions_with_candidates;
   if (num_entities > budget) {
-    std::vector<std::vector<double>> squared(mentions_with_candidates);
-    util::Stopwatch prune_watch;
-    const task::ParallelForStats prune_stats = task::ParallelChunks(
-        context.scheduler, mentions_with_candidates, context.max_tasks, cancel,
-        [&](size_t begin, size_t end) {
-          for (size_t k = begin; k < end; ++k) {
-            if (cancel != nullptr && cancel->cancelled()) return;
-            std::vector<double> dist = graph::ShortestPathDistances(
-                full, static_cast<graph::NodeId>(active_mentions[k]),
-                graph::InverseSimilarityCost);
-            std::vector<double>& out = squared[k];
-            out.resize(num_entities);
-            for (size_t e = 0; e < num_entities; ++e) {
-              double d = dist[meg.EntityNodeId(e)];
-              if (!std::isfinite(d)) d = kUnreachablePenalty;
-              out[e] = d * d;
-            }
-          }
-        });
-    if (context.scheduler != nullptr && context.max_tasks > 1) {
-      solution.parallel_seconds += prune_watch.ElapsedSeconds();
-      solution.parallel_tasks += prune_stats.tasks;
-      solution.parallel_steals += prune_stats.stolen;
-    }
-    if (prune_stats.cancelled || (cancel != nullptr && cancel->cancelled())) {
-      solution.aborted = true;
-      return solution;
-    }
     std::vector<double> distance_sum(num_entities, 0.0);
-    for (size_t k = 0; k < mentions_with_candidates; ++k) {
-      const std::vector<double>& out = squared[k];
-      for (size_t e = 0; e < num_entities; ++e) distance_sum[e] += out[e];
+    for (size_t mention : active_mentions) {
+      if (cancel != nullptr && cancel->cancelled()) {
+        solution.aborted = true;
+        return solution;
+      }
+      std::vector<double> dist = graph::ShortestPathDistances(
+          full, static_cast<graph::NodeId>(mention),
+          graph::InverseSimilarityCost);
+      for (size_t e = 0; e < num_entities; ++e) {
+        double d = dist[meg.EntityNodeId(e)];
+        if (!std::isfinite(d)) d = kUnreachablePenalty;
+        distance_sum[e] += d * d;
+      }
     }
     std::vector<size_t> order(num_entities);
     for (size_t e = 0; e < num_entities; ++e) order[e] = e;
@@ -170,17 +148,10 @@ GraphSolution SolveMentionEntityGraph(
   }
 
   // ---- Main greedy loop -----------------------------------------------------
-  graph::DenseSubgraphOptions dense_options;
-  dense_options.scheduler = context.scheduler;
-  dense_options.max_tasks = context.max_tasks;
-  dense_options.min_parallel_nodes = context.min_parallel_nodes;
-  dense_options.cancel = cancel;
-  graph::DenseSubgraphResult dense =
-      graph::ConstrainedDenseSubgraph(pruned, removable, groups, dense_options);
+  graph::DenseSubgraphResult dense = graph::ConstrainedDenseSubgraph(
+      pruned, removable, groups, graph::DenseSubgraphOptions{.cancel = cancel});
   solution.objective = dense.objective;
   solution.iterations += dense.iterations;
-  solution.parallel_tasks += dense.parallel_tasks;
-  solution.parallel_steals += dense.parallel_steals;
   if (dense.aborted) {
     solution.aborted = true;
     return solution;

@@ -8,10 +8,6 @@
 #include "core/mention_entity_graph.h"
 #include "util/cancellation.h"
 
-namespace aida::task {
-class Scheduler;
-}  // namespace aida::task
-
 namespace aida::core {
 
 /// Tuning of Algorithm 1 (Section 3.4.2).
@@ -26,22 +22,14 @@ struct GraphDisambiguatorOptions {
   uint64_t seed = 0xA1DA;
 };
 
-/// Per-call execution context of one solve: cooperative cancellation
-/// (polled inside the solver's iteration loops — pre-pruning, greedy
+/// Per-call execution context of one solve: cooperative cancellation,
+/// polled inside the solver's iteration loops — pre-pruning, greedy
 /// peel, exhaustive enumeration, local search — not just at phase
-/// boundaries) and optional task parallelism.
+/// boundaries.
 struct GraphSolveContext {
   /// Polled every few iterations; a tripped token aborts the solve
   /// (GraphSolution::aborted). Not owned.
   const util::CancellationToken* cancel = nullptr;
-  /// Fork per-mention pre-prune Dijkstras and the peel loop's per-node
-  /// scans across this scheduler (null = serial).
-  task::Scheduler* scheduler = nullptr;
-  /// Maximum tasks per parallel region (<= 1 = serial).
-  size_t max_tasks = 1;
-  /// Size gate for the peel loop's per-iteration node scans (see
-  /// graph::DenseSubgraphOptions::min_parallel_nodes).
-  size_t min_parallel_nodes = 2048;
 };
 
 /// Output of the graph solver: per mention the index of the winning
@@ -60,11 +48,6 @@ struct GraphSolution {
   /// out: the solution is partial and must be discarded (the caller
   /// degrades to local-only results).
   bool aborted = false;
-  /// Task accounting of the parallel regions (0 when serial).
-  uint64_t parallel_tasks = 0;
-  uint64_t parallel_steals = 0;
-  /// Wall clock of the parallel pre-pruning region, seconds.
-  double parallel_seconds = 0.0;
 };
 
 /// Runs Algorithm 1 on a built mention-entity graph: pre-prunes distant
@@ -72,13 +55,6 @@ struct GraphSolution {
 /// greedily peels minimum-weighted-degree entities (keeping one candidate
 /// per mention), then resolves remaining choices exhaustively or by
 /// randomized local search.
-///
-/// With a scheduler in `context`, the per-mention pre-prune Dijkstras run
-/// as parallel tasks (each writing its own squared-distance vector,
-/// folded serially in mention order) and the peel loop's per-iteration
-/// node scans are chunked — both byte-identical to the serial path. The
-/// exhaustive/local-search post-processing stays serial: it is bounded
-/// work, and the local search is an inherently sequential RNG chain.
 GraphSolution SolveMentionEntityGraph(
     const MentionEntityGraph& meg, const GraphDisambiguatorOptions& options,
     const GraphSolveContext& context = {});

@@ -1,12 +1,9 @@
 #include "core/mention_entity_graph.h"
 
 #include <algorithm>
-#include <atomic>
 #include <unordered_map>
 
-#include "task/parallel_for.h"
 #include "util/status.h"
-#include "util/stopwatch.h"
 
 namespace aida::core {
 
@@ -30,21 +27,12 @@ struct BuildScratch {
   std::vector<PendingEdge> me_edges;
   std::vector<PendingEdge> ee_edges;
   std::vector<const Candidate*> all_candidates;
-  /// Batched pair evaluation: qualifying entity-index pairs in
-  /// enumeration order, with their computed values and cache-hit flags
-  /// (parallel tasks write disjoint index ranges of values/hits).
-  std::vector<std::pair<uint32_t, uint32_t>> pairs;
-  std::vector<double> pair_values;
-  std::vector<uint8_t> pair_hits;
 
   void Reset() {
     entity_index.clear();
     me_edges.clear();
     ee_edges.clear();
     all_candidates.clear();
-    pairs.clear();
-    pair_values.clear();
-    pair_hits.clear();
   }
 };
 
@@ -127,91 +115,49 @@ MentionEntityGraph BuildMentionEntityGraph(
   double ee_max = 0.0;
   const size_t ec = meg.entity_candidates.size();
 
-  // Stage 1 — collect the qualifying pair batch in enumeration order.
   // Entity nodes are deduplicated above, so every (i, j) occurs at most
-  // once: the batch is the deduplicated set of relatedness evaluations
-  // this document needs, and its order is identical on the serial and
-  // parallel paths.
-  std::vector<std::pair<uint32_t, uint32_t>>& pairs = scratch.pairs;
-  auto collect = [&](size_t i, size_t j) {
+  // once: each qualifying pair is evaluated exactly once per document, in
+  // enumeration order, and its edge folded in right away. Relatedness
+  // dominates the build, so the cancellation token is polled every
+  // kCancelStride qualifying pairs, not only between phases; a tripped
+  // token abandons the build and marks the graph aborted.
+  constexpr size_t kCancelStride = 32;
+  const util::CancellationToken* cancel = context.cancel;
+  size_t evaluated = 0;
+  auto add_pair = [&](size_t i, size_t j) {
     if (!serves_two_mentions(i, j)) return;
-    pairs.emplace_back(static_cast<uint32_t>(i), static_cast<uint32_t>(j));
+    if (evaluated++ % kCancelStride == 0 && cancel != nullptr &&
+        cancel->cancelled()) {
+      meg.aborted = true;
+      return;
+    }
+    bool cache_hit = false;
+    double rel = relatedness.RelatednessTracked(
+        *meg.entity_candidates[i], *meg.entity_candidates[j], &cache_hit);
+    rel *= meg.entity_candidates[i]->weight_scale *
+           meg.entity_candidates[j]->weight_scale;
+    if (cache_hit) {
+      ++meg.relatedness_cache_hits;
+    } else {
+      ++meg.relatedness_computations;
+    }
+    if (rel <= 0.0) return;
+    ee_edges.push_back({meg.EntityNodeId(i), meg.EntityNodeId(j), rel});
+    ee_max = std::max(ee_max, rel);
   };
   if (relatedness.has_pair_filter()) {
     std::vector<const Candidate*>& all = scratch.all_candidates;
     all.assign(meg.entity_candidates.begin(), meg.entity_candidates.end());
     for (const auto& [i, j] : relatedness.FilterPairs(all)) {
-      collect(i, j);
+      if (meg.aborted) break;
+      add_pair(i, j);
     }
   } else {
-    for (size_t i = 0; i < ec; ++i) {
-      for (size_t j = i + 1; j < ec; ++j) {
-        collect(i, j);
-      }
+    for (size_t i = 0; i < ec && !meg.aborted; ++i) {
+      for (size_t j = i + 1; j < ec && !meg.aborted; ++j) add_pair(i, j);
     }
   }
-
-  // Stage 2 — evaluate the batch. Parallel chunks write disjoint slots
-  // of pair_values/pair_hits; the RelatednessCache underneath keeps its
-  // per-thread L1 and striped stat counters, so tasks do not contend.
-  // The cancellation token is polled every few dozen pairs (satellite of
-  // the phase-boundary checks in Aida::Disambiguate); a tripped token
-  // abandons the batch and marks the graph aborted.
-  std::vector<double>& pair_values = scratch.pair_values;
-  std::vector<uint8_t>& pair_hits = scratch.pair_hits;
-  pair_values.resize(pairs.size());
-  pair_hits.assign(pairs.size(), 0);
-  std::atomic<bool> abort_requested{false};
-  const util::CancellationToken* cancel = context.cancel;
-  auto evaluate = [&](size_t begin, size_t end) {
-    constexpr size_t kCancelStride = 32;
-    for (size_t k = begin; k < end; ++k) {
-      if ((k - begin) % kCancelStride == 0 &&
-          (abort_requested.load(std::memory_order_relaxed) ||
-           (cancel != nullptr && cancel->cancelled()))) {
-        abort_requested.store(true, std::memory_order_relaxed);
-        return;
-      }
-      const auto [i, j] = pairs[k];
-      bool cache_hit = false;
-      double rel = relatedness.RelatednessTracked(
-          *meg.entity_candidates[i], *meg.entity_candidates[j], &cache_hit);
-      rel *= meg.entity_candidates[i]->weight_scale *
-             meg.entity_candidates[j]->weight_scale;
-      pair_values[k] = rel;
-      pair_hits[k] = cache_hit ? 1 : 0;
-    }
-  };
-  util::Stopwatch batch_watch;
-  const size_t batch_tasks =
-      pairs.size() >= context.min_batch_pairs ? context.max_tasks : 1;
-  const task::ParallelForStats batch_stats = task::ParallelChunks(
-      context.scheduler, pairs.size(), batch_tasks, cancel, evaluate);
-  if (batch_tasks > 1) {
-    meg.parallel_seconds = batch_watch.ElapsedSeconds();
-    meg.parallel_tasks = batch_stats.tasks;
-    meg.parallel_steals = batch_stats.stolen;
-  }
-  if (batch_stats.cancelled ||
-      abort_requested.load(std::memory_order_relaxed)) {
-    meg.aborted = true;
-    return meg;  // partial; the caller discards it
-  }
-
-  // Stage 3 — fold edges and counters serially in pair order: identical
-  // accumulation order to the serial path, so no FP reassociation.
-  for (size_t k = 0; k < pairs.size(); ++k) {
-    if (pair_hits[k] != 0) {
-      ++meg.relatedness_cache_hits;
-    } else {
-      ++meg.relatedness_computations;
-    }
-    const double rel = pair_values[k];
-    if (rel <= 0.0) continue;
-    ee_edges.push_back({meg.EntityNodeId(pairs[k].first),
-                        meg.EntityNodeId(pairs[k].second), rel});
-    ee_max = std::max(ee_max, rel);
-  }
+  if (meg.aborted) return meg;  // partial; the caller discards it
 
   // ---- Normalize, balance averages, apply the gamma split -----------------
   if (me_max > 0.0) {

@@ -12,10 +12,6 @@
 #include "graph/weighted_graph.h"
 #include "util/cancellation.h"
 
-namespace aida::task {
-class Scheduler;
-}  // namespace aida::task
-
 namespace aida::core {
 
 /// Input to graph construction: one entry per mention with its candidates
@@ -59,11 +55,6 @@ struct MentionEntityGraph {
   /// stopped: the graph is partial and must be discarded (the caller
   /// degrades to local-only results).
   bool aborted = false;
-  /// Task accounting of the batched-relatedness region (0 when serial).
-  uint64_t parallel_tasks = 0;
-  uint64_t parallel_steals = 0;
-  /// Wall clock of the batched pair-evaluation region, seconds.
-  double parallel_seconds = 0.0;
 
   graph::NodeId EntityNodeId(size_t entity_index) const {
     return static_cast<graph::NodeId>(num_mentions + entity_index);
@@ -75,18 +66,12 @@ struct MentionEntityGraph {
 };
 
 /// Per-call execution context of one graph build: cooperative
-/// cancellation (polled inside the pair-evaluation batch, not just
-/// between phases) and optional task parallelism for that batch.
+/// cancellation, polled inside the pair evaluation, not just between
+/// phases.
 struct GraphBuildContext {
   /// Polled every few dozen pair evaluations; a tripped token aborts the
   /// build (MentionEntityGraph::aborted). Not owned.
   const util::CancellationToken* cancel = nullptr;
-  /// Fork the pair batch across this scheduler (null = serial).
-  task::Scheduler* scheduler = nullptr;
-  /// Maximum tasks for the pair batch (<= 1 = serial).
-  size_t max_tasks = 1;
-  /// Batches smaller than this stay serial even when a scheduler is set.
-  size_t min_batch_pairs = 64;
 };
 
 /// Builds the weighted mention-entity graph: mention-entity edges carry
@@ -96,13 +81,9 @@ struct GraphBuildContext {
 /// normalized to [0,1], rescaled so their averages match (Section 3.4.1),
 /// then split by me_scale / ee_scale.
 ///
-/// Relatedness is evaluated as one deduplicated batch: the qualifying
-/// pair list is collected first (entity nodes are already deduplicated,
-/// so each pair is evaluated exactly once per document), values are
-/// computed — in parallel chunks when `context` enables it, preserving
-/// the RelatednessCache's per-thread L1 and stat stripes — and edges are
-/// folded serially in pair order, so the parallel build is byte-identical
-/// to the serial one.
+/// Entity nodes are deduplicated, so each qualifying pair is evaluated
+/// exactly once per document, in enumeration order, and its edge is
+/// folded in as soon as its value is known.
 MentionEntityGraph BuildMentionEntityGraph(
     const GraphBuildInput& input, const RelatednessMeasure& relatedness,
     const GraphBuildContext& context = {});

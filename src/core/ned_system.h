@@ -9,21 +9,16 @@
 #include "core/candidates.h"
 #include "util/cancellation.h"
 
-namespace aida::task {
-class Scheduler;
-}  // namespace aida::task
-
 namespace aida::core {
 
-/// Cooperative cancellation handle for one disambiguation call — now
-/// shared with the task engine, so the class itself lives in
-/// util/cancellation.h. NED systems poll cancelled() between AND inside
-/// their phases (candidate/local features, batched relatedness, solver
-/// iterations) and bail out early with whatever they have — the
-/// mechanism behind per-request deadlines in serve::NedService. Checking
-/// is cooperative: a system that ignores the token simply runs to
-/// completion, and the serving layer still enforces the deadline on the
-/// result's status.
+/// Cooperative cancellation handle for one disambiguation call; the class
+/// itself lives in util/cancellation.h. NED systems poll cancelled()
+/// between AND inside their phases (candidate/local features, batched
+/// relatedness, solver iterations) and bail out early with whatever they
+/// have — the mechanism behind per-request deadlines in
+/// serve::NedService. Checking is cooperative: a system that ignores the
+/// token simply runs to completion, and the serving layer still enforces
+/// the deadline on the result's status.
 using CancellationToken = util::CancellationToken;
 
 /// One mention to disambiguate. When `candidates` is empty and
@@ -49,31 +44,6 @@ struct DisambiguationProblem {
   std::vector<ProblemMention> mentions;
 };
 
-/// Intra-request parallelism for one Disambiguate call. When enabled(),
-/// Aida forks its per-mention local scoring, the deduplicated
-/// entity-pair relatedness batch, and the solver's per-iteration node
-/// scans into at most `max_tasks` tasks on `scheduler`, joining before
-/// each reduction — results stay byte-identical to the serial path
-/// (deterministic chunk boundaries, reductions in index order, no FP
-/// reassociation). The admission decision (which requests get tasks at
-/// all) belongs to the serving layer; the thresholds here keep tiny
-/// phases serial even inside an admitted request.
-struct ParallelismOptions {
-  /// Not owned; must outlive the call. Null disables parallelism.
-  task::Scheduler* scheduler = nullptr;
-  /// Upper bound on concurrent tasks per parallel region (1 = serial).
-  size_t max_tasks = 1;
-  /// Minimum mentions before the per-mention local phase forks.
-  size_t min_parallel_mentions = 2;
-  /// Minimum deduplicated entity pairs before the relatedness batch
-  /// forks.
-  size_t min_batch_pairs = 64;
-  /// Minimum graph nodes before the solver's per-iteration scans fork.
-  size_t min_parallel_nodes = 2048;
-
-  bool enabled() const { return scheduler != nullptr && max_tasks > 1; }
-};
-
 /// Per-call execution options for NedSystem::Disambiguate. Everything is
 /// optional and non-owning; all pointees must outlive the call. New knobs
 /// (score calibration, per-call budgets, tracing hooks) belong here, not
@@ -88,8 +58,6 @@ struct DisambiguateOptions {
   /// local-only results when it trips; see
   /// DisambiguationResult::cancelled.
   const CancellationToken* cancel = nullptr;
-  /// Intra-request task parallelism (defaults to serial).
-  ParallelismOptions parallel;
 };
 
 /// Per-mention output.
@@ -122,22 +90,15 @@ struct DisambiguationStats {
   /// Graph-solver work: greedy peel steps plus post-processing
   /// (exhaustive assignments or local-search proposals) evaluated.
   uint64_t graph_iterations = 0;
-  /// Tasks spawned into the work-stealing scheduler on behalf of this
-  /// call (0 on the serial path).
+  /// Always 0: a call runs serially on its caller's thread. Kept only
+  /// because the serving benchmark (nedbench) reports it as
+  /// task.tasks_per_doc; drop it together with that metric.
   uint64_t parallel_tasks = 0;
-  /// Of those, tasks executed by a thread other than the spawner.
-  uint64_t parallel_steals = 0;
   /// Per-phase wall clock, seconds. Phases that did not run stay 0.
   double local_seconds = 0.0;        // candidate lookup + local features
   double graph_build_seconds = 0.0;  // mention-entity graph construction
   double graph_solve_seconds = 0.0;  // Algorithm 1 + post-processing
   double total_seconds = 0.0;
-  /// Wall clock spent inside the parallel (forked) regions of each
-  /// phase — subsets of the corresponding *_seconds above. Zero when the
-  /// phase ran serially.
-  double local_parallel_seconds = 0.0;
-  double graph_build_parallel_seconds = 0.0;
-  double graph_solve_parallel_seconds = 0.0;
 
   double RelatednessCacheHitRate() const {
     const uint64_t lookups = relatedness_computations + relatedness_cache_hits;
@@ -150,14 +111,10 @@ struct DisambiguationStats {
     relatedness_cache_hits += other.relatedness_cache_hits;
     graph_iterations += other.graph_iterations;
     parallel_tasks += other.parallel_tasks;
-    parallel_steals += other.parallel_steals;
     local_seconds += other.local_seconds;
     graph_build_seconds += other.graph_build_seconds;
     graph_solve_seconds += other.graph_solve_seconds;
     total_seconds += other.total_seconds;
-    local_parallel_seconds += other.local_parallel_seconds;
-    graph_build_parallel_seconds += other.graph_build_parallel_seconds;
-    graph_solve_parallel_seconds += other.graph_solve_parallel_seconds;
     return *this;
   }
 };

@@ -1,10 +1,8 @@
 #include "graph/dense_subgraph.h"
 
-#include <algorithm>
 #include <limits>
 #include <utility>
 
-#include "task/scheduler.h"
 #include "util/check.h"
 
 namespace aida::graph {
@@ -13,62 +11,23 @@ namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
-/// Chunked first-strict-min scan over [0, n): returns the (degree,
-/// node) pair the serial left-to-right `degree[u] < min` loop would
-/// find. `eligible(u)` filters candidates; `degree` is read-only during
-/// the scan. With `chunks` == 1 this IS the serial loop; with more, each
-/// chunk scans its contiguous range and the chunk results are reduced
-/// left to right with the same strict less-than, so ties still resolve
-/// to the lowest node id — the victim sequence (and therefore every
-/// byte of the result) is independent of the chunking.
-/// `chunk_best` is caller-owned scratch for the per-chunk results,
-/// hoisted out so the peel loop (two scans per removed node) reuses one
-/// buffer instead of allocating per scan — the alloc probe flagged the
-/// old local vector as steady-state churn on the request path.
+/// First-strict-min scan over [0, n): the (degree, node) pair of the
+/// lowest-id eligible node of minimum degree, or (inf, n) when no node is
+/// eligible. `eligible(u)` filters candidates.
 template <typename Eligible>
-std::pair<double, NodeId> MinDegreeScan(
-    size_t n, size_t chunks, task::Scheduler* scheduler,
-    const std::vector<double>& degree, const Eligible& eligible,
-    DenseSubgraphResult* accounting,
-    std::vector<std::pair<double, NodeId>>& chunk_best) {
-  auto scan_range = [&](size_t begin, size_t end) -> std::pair<double, NodeId> {
-    double min_degree = kInf;
-    NodeId arg = static_cast<NodeId>(n);
-    for (size_t u = begin; u < end; ++u) {
-      if (!eligible(static_cast<NodeId>(u))) continue;
-      if (degree[u] < min_degree) {
-        min_degree = degree[u];
-        arg = static_cast<NodeId>(u);
-      }
+std::pair<double, NodeId> MinDegreeScan(size_t n,
+                                        const std::vector<double>& degree,
+                                        const Eligible& eligible) {
+  double min_degree = kInf;
+  NodeId arg = static_cast<NodeId>(n);
+  for (size_t u = 0; u < n; ++u) {
+    if (!eligible(static_cast<NodeId>(u))) continue;
+    if (degree[u] < min_degree) {
+      min_degree = degree[u];
+      arg = static_cast<NodeId>(u);
     }
-    return {min_degree, arg};
-  };
-  if (chunks <= 1 || n < 2 * chunks) {
-    return scan_range(0, n);
   }
-  chunk_best.assign(chunks, {kInf, static_cast<NodeId>(n)});
-  task::TaskGroup group(scheduler, /*cancel=*/nullptr);
-  const size_t base = n / chunks;
-  const size_t remainder = n % chunks;
-  size_t begin = 0;
-  for (size_t c = 0; c < chunks; ++c) {
-    const size_t end = begin + base + (c < remainder ? 1 : 0);
-    group.Run([c, begin, end, &chunk_best, &scan_range] {
-      chunk_best[c] = scan_range(begin, end);
-    });
-    begin = end;
-  }
-  group.Wait();
-  if (accounting != nullptr) {
-    const task::TaskGroup::Stats& stats = group.stats();
-    accounting->parallel_tasks += stats.spawned + stats.inline_executed;
-    accounting->parallel_steals += stats.stolen;
-  }
-  std::pair<double, NodeId> best = {kInf, static_cast<NodeId>(n)};
-  for (const auto& candidate : chunk_best) {
-    if (candidate.first < best.first) best = candidate;
-  }
-  return best;
+  return {min_degree, arg};
 }
 
 }  // namespace
@@ -104,18 +63,7 @@ DenseSubgraphResult ConstrainedDenseSubgraph(
     if (removable[u]) ++alive_removable;
   }
 
-  // Per-iteration node scans fork only above the size gate: each scan is
-  // O(n), so tasks must amortize their spawn cost.
-  const size_t scan_chunks =
-      options.scheduler != nullptr && options.max_tasks > 1 &&
-              n >= options.min_parallel_nodes
-          ? std::min(options.max_tasks, n)
-          : 1;
-
   DenseSubgraphResult result;
-  /// Reused across every MinDegreeScan of the peel loop; sized once.
-  std::vector<std::pair<double, NodeId>> scan_scratch;
-  scan_scratch.reserve(scan_chunks);
 
   // Objective of the current subgraph: minimum weighted degree among
   // alive removable nodes divided by their count (paper: "A graph with
@@ -124,9 +72,8 @@ DenseSubgraphResult ConstrainedDenseSubgraph(
   auto objective_now = [&]() {
     if (alive_removable == 0) return 0.0;
     const double min_degree =
-        MinDegreeScan(n, scan_chunks, options.scheduler, degree,
-                      [&](NodeId u) { return alive[u] && removable[u]; },
-                      &result, scan_scratch)
+        MinDegreeScan(n, degree,
+                      [&](NodeId u) { return alive[u] && removable[u]; })
             .first;
     return min_degree / static_cast<double>(alive_removable);
   };
@@ -151,11 +98,10 @@ DenseSubgraphResult ConstrainedDenseSubgraph(
     }
     // Find the non-taboo alive removable node of minimum weighted degree.
     const NodeId victim =
-        MinDegreeScan(n, scan_chunks, options.scheduler, degree,
+        MinDegreeScan(n, degree,
                       [&](NodeId u) {
                         return alive[u] && removable[u] && !is_taboo(u);
-                      },
-                      &result, scan_scratch)
+                      })
             .second;
     if (victim == static_cast<NodeId>(n)) break;  // all remaining are taboo
 

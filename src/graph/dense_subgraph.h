@@ -8,26 +8,10 @@
 #include "graph/weighted_graph.h"
 #include "util/cancellation.h"
 
-namespace aida::task {
-class Scheduler;
-}  // namespace aida::task
-
 namespace aida::graph {
 
-/// Execution knobs of the greedy reduction: cooperative cancellation
-/// (polled between peel iterations) and task parallelism for the
-/// per-iteration node scans (victim selection and objective
-/// recomputation). The scans are chunked deterministically and reduced
-/// in chunk order with the same strict-less tie-break as the serial
-/// loop, so the parallel peel removes the exact same victim sequence.
+/// Execution knobs of the greedy reduction: cooperative cancellation.
 struct DenseSubgraphOptions {
-  /// Not owned; null keeps every scan serial.
-  task::Scheduler* scheduler = nullptr;
-  /// Maximum tasks per scan (<= 1 = serial).
-  size_t max_tasks = 1;
-  /// Graphs smaller than this keep serial scans: a peel iteration's scan
-  /// is O(n), so forking only pays off for large candidate graphs.
-  size_t min_parallel_nodes = 2048;
   /// Polled between peel iterations; a tripped token aborts the
   /// reduction (DenseSubgraphResult::aborted). Not owned.
   const util::CancellationToken* cancel = nullptr;
@@ -45,9 +29,6 @@ struct DenseSubgraphResult {
   /// True when the reduction observed a tripped CancellationToken and
   /// stopped early: the result is partial and must be discarded.
   bool aborted = false;
-  /// Task accounting of the parallel scans (0 when serial).
-  uint64_t parallel_tasks = 0;
-  uint64_t parallel_steals = 0;
 };
 
 /// Greedy approximation for the constrained densest-subgraph problem of

@@ -87,11 +87,15 @@ double KoreRelatedness::RelatednessOfModels(const core::CandidateModel& a,
   if (denom <= 0.0) return 0.0;
 
   // Visit only phrase pairs sharing at least one word: index the smaller
-  // side, probe with the larger side's words.
-  const core::CandidateModel& small =
-      a.phrases.size() <= b.phrases.size() ? a : b;
-  const core::CandidateModel& large =
-      a.phrases.size() <= b.phrases.size() ? b : a;
+  // side, probe with the larger side's words. On a tie the model with the
+  // lower entity id is indexed, so the summation order — and with it
+  // every bit of the result — does not depend on argument order.
+  const bool a_is_small =
+      a.phrases.size() != b.phrases.size()
+          ? a.phrases.size() < b.phrases.size()
+          : a.entity <= b.entity;
+  const core::CandidateModel& small = a_is_small ? a : b;
+  const core::CandidateModel& large = a_is_small ? b : a;
   PhraseIndex index = BuildIndex(small);
 
   double numerator = 0.0;

@@ -140,10 +140,6 @@ ServiceMetricsSnapshot ServiceMetrics::Snapshot(size_t queue_depth) const {
     snapshot.cancelled_in_flight +=
         slot.cancelled_in_flight.load(std::memory_order_relaxed);
     snapshot.in_flight += slot.in_flight.load(std::memory_order_relaxed);
-    snapshot.parallel_tasks +=
-        slot.parallel_tasks.load(std::memory_order_relaxed);
-    snapshot.parallel_steals +=
-        slot.parallel_steals.load(std::memory_order_relaxed);
     queue_waits.push_back(&slot.queue_wait);
     service_times.push_back(&slot.service_time);
     totals.push_back(&slot.total_latency);

@@ -114,9 +114,6 @@ struct ServiceMetricsSnapshot {
   // ---- gauges ----
   uint64_t queue_depth = 0;  // requests waiting in the bounded queue
   uint64_t in_flight = 0;    // requests currently inside Disambiguate
-  // ---- intra-request parallelism counters ----
-  uint64_t parallel_tasks = 0;   // tasks forked into the task engine
-  uint64_t parallel_steals = 0;  // of those, run by a stealing thread
   // ---- rates ----
   double uptime_seconds = 0.0;
   double completed_per_second = 0.0;  // completed / uptime
@@ -221,17 +218,6 @@ class ServiceMetrics {
     BumpGeneration(s, generation, &GenerationOutcomes::failed);
   }
 
-  /// Task-engine work one request performed (from its
-  /// DisambiguationStats); no-op for serial requests so the common path
-  /// stays free of extra RMWs.
-  void OnParallelWork(size_t slot, uint64_t tasks,
-                      uint64_t steals) AIDA_NONBLOCKING {
-    if (tasks == 0 && steals == 0) return;
-    WorkerSlot& s = Slot(slot);
-    s.parallel_tasks.fetch_add(tasks, std::memory_order_relaxed);
-    s.parallel_steals.fetch_add(steals, std::memory_order_relaxed);
-  }
-
   /// `queue_depth` is the owning service's current bounded-queue size —
   /// the one gauge the registry cannot observe on its own.
   ServiceMetricsSnapshot Snapshot(size_t queue_depth) const;
@@ -252,9 +238,6 @@ class ServiceMetrics {
     /// Net started-minus-finished on this worker; never negative because
     /// the same worker records both edges. Summed into the gauge.
     std::atomic<uint64_t> in_flight{0};
-    /// Task-engine work charged to requests served from this slot.
-    std::atomic<uint64_t> parallel_tasks{0};
-    std::atomic<uint64_t> parallel_steals{0};
     LatencyHistogram queue_wait;
     LatencyHistogram service_time;
     LatencyHistogram total_latency;

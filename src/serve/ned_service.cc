@@ -8,7 +8,6 @@
 #include <thread>
 #include <utility>
 
-#include "task/scheduler.h"
 #include "util/stopwatch.h"
 
 namespace aida::serve {
@@ -50,11 +49,6 @@ NedService::NedService(std::shared_ptr<const kb::KbSnapshot> snapshot,
   // published yet" is a configuration error, not a per-request condition.
   AIDA_CHECK(AcquireSnapshot() != nullptr,
              "registry must publish a generation before serving starts");
-  if (options_.parallelism.task_threads > 0) {
-    task::SchedulerOptions scheduler_options;
-    scheduler_options.num_threads = options_.parallelism.task_threads;
-    scheduler_ = std::make_unique<task::Scheduler>(scheduler_options);
-  }
   for (size_t t = 0; t < num_threads_; ++t) {
     pool_->Submit([this, t] { WorkerLoop(t); });
   }
@@ -195,24 +189,9 @@ void NedService::Process(size_t slot, Request request,
   core::DisambiguateOptions ned_options;
   ned_options.vocab = request.vocab;
   ned_options.cancel = &token;
-  // Admission for intra-request parallelism: only heavy documents fork
-  // tasks, so the engine accelerates the tail without taxing small-doc
-  // throughput.
-  if (scheduler_ != nullptr &&
-      request.problem.mentions.size() >= options_.parallelism.min_mentions) {
-    core::ParallelismOptions& par = ned_options.parallel;
-    par.scheduler = scheduler_.get();
-    par.max_tasks = options_.parallelism.max_tasks_per_request != 0
-                        ? options_.parallelism.max_tasks_per_request
-                        : options_.parallelism.task_threads + 1;
-    par.min_batch_pairs = options_.parallelism.min_batch_pairs;
-    par.min_parallel_nodes = options_.parallelism.min_parallel_nodes;
-  }
   util::Stopwatch service_watch;
   try {
     out.result = snapshot->system().Disambiguate(request.problem, ned_options);
-    metrics_.OnParallelWork(slot, out.result.stats.parallel_tasks,
-                            out.result.stats.parallel_steals);
     out.service_seconds = service_watch.ElapsedSeconds();
     out.total_seconds = SecondsBetween(request.submit_time, Clock::now());
     if (out.result.cancelled) {

@@ -17,37 +17,7 @@
 #include "util/thread_annotations.h"
 #include "util/worker_pool.h"
 
-namespace aida::task {
-class Scheduler;
-}  // namespace aida::task
-
 namespace aida::serve {
-
-/// Intra-request parallelism for heavy documents. When task_threads > 0
-/// the service owns one work-stealing task::Scheduler shared by all
-/// workers; a request whose document clears the mention-count admission
-/// bar forks its disambiguation phases (per-mention local scoring, the
-/// deduplicated relatedness batch, the solver's node scans) into tasks
-/// on that engine — byte-identical results, lower per-request latency.
-/// Small documents always take the untouched serial path, so enabling
-/// the engine never taxes the common case.
-struct ServeParallelismOptions {
-  /// Dedicated task-engine threads; 0 disables intra-request parallelism
-  /// entirely (the default — small-doc traffic gains nothing and the
-  /// engine's threads would compete with the worker pool).
-  size_t task_threads = 0;
-  /// Cap on tasks per parallel region per request; 0 selects
-  /// task_threads + 1 (the request's own worker participates in every
-  /// region via its TaskGroup, so it counts as one executor).
-  size_t max_tasks_per_request = 0;
-  /// Admission: only documents with at least this many mentions fork
-  /// tasks. The knob that keeps intra-request parallelism from cutting
-  /// into inter-request throughput under load.
-  size_t min_mentions = 8;
-  /// Forwarded to core::ParallelismOptions (per-phase size gates).
-  size_t min_batch_pairs = 64;
-  size_t min_parallel_nodes = 2048;
-};
 
 /// Configuration of a NedService.
 struct NedServiceOptions {
@@ -67,8 +37,6 @@ struct NedServiceOptions {
   /// the measure — but wiring it here surfaces hit rates and evictions in
   /// Snapshot() next to the latency histograms.
   const core::RelatednessCache* shared_cache = nullptr;
-  /// Intra-request task parallelism (default: disabled).
-  ServeParallelismOptions parallelism;
 };
 
 /// Per-request overrides.
@@ -223,8 +191,6 @@ class NedService {
 
   size_t num_threads() const { return num_threads_; }
   size_t queue_capacity() const { return queue_.capacity(); }
-  /// The owned task engine; null when intra-request parallelism is off.
-  task::Scheduler* scheduler() const { return scheduler_.get(); }
   /// True once Drain or Shutdown began; Submit is rejected from then on.
   bool stopped() const { return queue_.closed(); }
 
@@ -267,11 +233,6 @@ class NedService {
   std::shared_ptr<const kb::SnapshotRegistry> registry_;
   NedServiceOptions options_;
   size_t num_threads_;
-  /// The shared work-stealing engine for intra-request parallelism; null
-  /// when ServeParallelismOptions::task_threads is 0. Declared before
-  /// pool_ so it is destroyed after the workers have joined — no request
-  /// can still hold tasks when the engine's threads stop.
-  std::unique_ptr<task::Scheduler> scheduler_;
   /// One cache-line-aligned slot per worker; constructed with
   /// num_threads_ so every worker owns a private slot.
   ServiceMetrics metrics_;

@@ -10,13 +10,13 @@ namespace aida::util {
 /// Cancel() flag plus an optional absolute deadline. Consumers poll
 /// cancelled() at their own granularity — NED systems between and inside
 /// their phases (candidate/local features, batched relatedness, solver
-/// iterations), the task engine before running each spawned task — and
-/// bail out early with whatever they have. Checking is cooperative: code
-/// that ignores the token simply runs to completion, and the serving
-/// layer still enforces the deadline on the result's status.
+/// iterations) — and bail out early with whatever they have. Checking is
+/// cooperative: code that ignores the token simply runs to completion,
+/// and the serving layer still enforces the deadline on the result's
+/// status.
 ///
-/// Lives in util/ (not core/) so the task scheduler can integrate with
-/// it without depending on the NED layer; core re-exports it as
+/// Lives in util/ (not core/) so graph/, which sits below core, can poll
+/// it inside the dense-subgraph peel loop; core re-exports it as
 /// core::CancellationToken for existing call sites.
 class CancellationToken {
  public:

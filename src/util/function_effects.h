@@ -22,17 +22,17 @@
 ///  * AIDA_NONBLOCKING — the strong contract: no unbounded waits, no
 ///    blocking syscalls, no allocation, no throw (nonblocking implies
 ///    nonallocating in Clang's lattice). Used on the lock-free leaves:
-///    histogram Record, metrics slot updates, Chase-Lev deque ops, flat
-///    KB reads, scoring kernels.
+///    histogram Record, metrics slot updates, flat KB reads, scoring
+///    kernels.
 ///  * AIDA_NONALLOCATING — the weaker contract for paths that may spin
 ///    on a bounded critical section but must not touch the allocator.
 ///  * AIDA_EFFECT_ESCAPE_BEGIN("reason") / AIDA_EFFECT_ESCAPE_END — the
 ///    audited opt-out, bracketing a statement range inside an annotated
 ///    function whose effects are deliberate and bounded: a cold branch
-///    (cache-miss relatedness computation, deque spill to the injection
-///    queue), or a mutex whose critical section is O(1) and never parks
-///    (a shard probe, a per-worker metrics map). Every escape must carry
-///    a reason string; the region stays visible to reviewers and greppable
+///    (cache-miss relatedness computation), or a mutex whose critical
+///    section is O(1) and never parks (a shard probe, a per-worker
+///    metrics map). Every escape must carry a reason string; the region
+///    stays visible in code review and greppable
 ///    (`grep -rn AIDA_EFFECT_ESCAPE src/`), unlike a bare pragma. The
 ///    policy mirrors AIDA_NO_THREAD_SAFETY_ANALYSIS: zero escapes is the
 ///    goal, each one is a documented audit, never a reflex.

@@ -29,12 +29,10 @@ inline constexpr int kServiceStop = 100;      // serve::NedService::stop_mutex_
 inline constexpr int kSnapshotPublish = 200;  // kb::SnapshotRegistry::publish_mutex_
 inline constexpr int kBoundedQueue = 300;     // serve::BoundedQueue<T>::mutex_
 inline constexpr int kWorkerPool = 400;       // util::WorkerPool::mutex_
-inline constexpr int kTaskScheduler = 450;    // task::Scheduler::inject_mutex_ (overflow queue + sleep/wake)
 inline constexpr int kServiceMetrics = 500;   // serve::ServiceMetrics WorkerSlot::generations_mutex (one per worker slot)
 inline constexpr int kCandidateStore = 600;   // core::CandidateModelStore::mutex_
 inline constexpr int kRelatednessShard = 700; // core::RelatednessCache::Shard::mutex
 inline constexpr int kParallelForState = 800; // util::WorkerPool::ParallelFor call state (leaf)
-inline constexpr int kTaskGroup = 850;        // task::TaskGroup::mutex_ (fork-join completion state, leaf)
 
 }  // namespace aida::util::lock_rank
 

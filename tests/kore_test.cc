@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <vector>
 
 #include "core/candidates.h"
 #include "kore/keyterm_cosine.h"
@@ -59,15 +60,34 @@ TEST_F(KoreTest, SameTopicMoreRelated) {
 
 TEST_F(KoreTest, SymmetricAndBounded) {
   KoreRelatedness kore;
+  auto check = [&](kb::EntityId e, kb::EntityId f) {
+    double ab = kore.Relatedness(MakeCandidate(e), MakeCandidate(f));
+    double ba = kore.Relatedness(MakeCandidate(f), MakeCandidate(e));
+    // Bit-exact: a RelatednessCache stores one value per unordered pair,
+    // so any asymmetry would make cached and uncached runs disagree.
+    EXPECT_EQ(ab, ba) << "entities " << e << " and " << f;
+    EXPECT_GE(ab, 0.0);
+    EXPECT_LE(ab, 1.0);
+  };
   for (kb::EntityId e = 0; e < 20; ++e) {
-    for (kb::EntityId f = e + 1; f < 20; ++f) {
-      double ab = kore.Relatedness(MakeCandidate(e), MakeCandidate(f));
-      double ba = kore.Relatedness(MakeCandidate(f), MakeCandidate(e));
-      EXPECT_NEAR(ab, ba, 1e-12);
-      EXPECT_GE(ab, 0.0);
-      EXPECT_LE(ab, 1.0);
+    for (kb::EntityId f = e + 1; f < 20; ++f) check(e, f);
+  }
+  // Models with equal phrase counts are where argument order could pick
+  // the indexed side, and with it the summation order.
+  const kb::EntityId n = world_.knowledge_base->entity_count();
+  std::vector<size_t> phrase_count(n);
+  for (kb::EntityId e = 0; e < n; ++e) {
+    phrase_count[e] = models_.ModelFor(e)->phrases.size();
+  }
+  size_t equal_count_pairs = 0;
+  for (kb::EntityId e = 0; e < n && equal_count_pairs < 2000; ++e) {
+    for (kb::EntityId f = e + 1; f < n; ++f) {
+      if (phrase_count[e] != phrase_count[f]) continue;
+      check(e, f);
+      ++equal_count_pairs;
     }
   }
+  EXPECT_GE(equal_count_pairs, 500u);
 }
 
 TEST_F(KoreTest, SelfRelatednessIsHigh) {

@@ -47,11 +47,11 @@ class FixedCostSystem : public core::NedSystem {
     }
     core::DisambiguationResult result;
     result.mentions.resize(problem.mentions.size());
-    // Data-dependent, always-zero score: keeps the spin from being
-    // optimized away without adding nondeterminism.
-    if (!result.mentions.empty()) {
-      result.mentions[0].score = static_cast<double>(x & 1u) * 0.0;
-    }
+    // Publishing the spin's final state keeps the optimizer from deleting
+    // the spin; an output that does not depend on `x` (say `x * 0.0`)
+    // would let it. The value is the same on every call, so results stay
+    // deterministic.
+    result.stats.graph_iterations = x;
     return result;
   }
   std::string name() const override { return "fixed-cost"; }

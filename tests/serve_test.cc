@@ -9,8 +9,10 @@
 #include <chrono>
 #include <condition_variable>
 #include <future>
+#include <memory>
 #include <mutex>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -23,6 +25,7 @@
 #include "serve/metrics.h"
 #include "serve/ned_service.h"
 #include "test_world.h"
+#include "util/stopwatch.h"
 
 namespace aida::serve {
 namespace {
@@ -377,6 +380,132 @@ TEST(NedServiceTest, AidaHonorsCancellationTokenBetweenPhases) {
   core::DisambiguationResult without = aida.Disambiguate(problem, {});
   EXPECT_FALSE(with_token.cancelled);
   ExpectSameResults(with_token, without);
+}
+
+// A relatedness measure that sleeps per evaluation — the knob that makes
+// a mid-phase deadline trip observable without a big document.
+class SleepyRelatedness : public core::RelatednessMeasure {
+ public:
+  std::string name() const override { return "sleepy"; }
+  double Relatedness(const core::Candidate& a,
+                     const core::Candidate& b) const override {
+    CountComparison();
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    return a.entity == b.entity ? 1.0 : 0.5;
+  }
+};
+
+// A document of `num_mentions` mentions, each with `num_candidates`
+// pre-resolved candidates over distinct entities, so every cross-mention
+// entity pair qualifies for relatedness evaluation.
+struct HeavyDoc {
+  std::vector<std::string> tokens;
+  std::vector<std::vector<core::Candidate>> candidate_storage;
+  core::DisambiguationProblem problem;
+
+  HeavyDoc(size_t num_mentions, size_t num_candidates) {
+    auto dummy_model = std::make_shared<core::CandidateModel>();
+    tokens.assign(num_mentions, "tok");
+    problem.tokens = &tokens;
+    candidate_storage.resize(num_mentions);
+    for (size_t m = 0; m < num_mentions; ++m) {
+      for (size_t c = 0; c < num_candidates; ++c) {
+        core::Candidate cand;
+        cand.entity = static_cast<kb::EntityId>(m * 100 + c);
+        cand.prior = 1.0 / static_cast<double>(c + 1);
+        cand.model = dummy_model;
+        candidate_storage[m].push_back(std::move(cand));
+      }
+      core::ProblemMention mention;
+      mention.surface = "tok";
+      mention.begin_token = m;
+      mention.end_token = m + 1;
+      mention.candidates = candidate_storage[m];
+      mention.candidates_resolved = true;
+      problem.mentions.push_back(std::move(mention));
+    }
+  }
+};
+
+TEST(NedServiceTest, MidPhaseCancelReturnsDegradedLocalResultPromptly) {
+  const TestWorld& tw = TestWorld::Get();
+  core::CandidateModelStore models(tw.world.knowledge_base.get());
+  SleepyRelatedness sleepy;
+  core::AidaOptions aida_options;
+  aida_options.use_prior_test = false;
+  aida_options.use_coherence_test = false;  // keep every candidate in the graph
+  core::Aida aida(&models, &sleepy, aida_options);
+
+  // 12 mentions x 6 candidates -> ~2400 qualifying pairs at 2ms each:
+  // ~5 s of relatedness if the graph build ran to completion. The token
+  // trips 50ms in; the pair loop polls it every 32 pairs, so the call
+  // must come back orders of magnitude sooner than the full build would
+  // take.
+  HeavyDoc doc(/*num_mentions=*/12, /*num_candidates=*/6);
+  core::CancellationToken token(core::CancellationToken::Clock::now() +
+                                std::chrono::milliseconds(50));
+  core::DisambiguateOptions options;
+  options.cancel = &token;
+
+  util::Stopwatch watch;
+  const core::DisambiguationResult result =
+      aida.Disambiguate(doc.problem, options);
+  const double elapsed = watch.ElapsedSeconds();
+
+  EXPECT_TRUE(result.cancelled);
+  EXPECT_LT(elapsed, 2.5) << "mid-phase cancel was not observed promptly";
+  // Degraded but well-formed: every mention still carries its local-only
+  // choice over the full candidate list.
+  ASSERT_EQ(result.mentions.size(), doc.problem.mentions.size());
+  for (const core::MentionResult& mention : result.mentions) {
+    EXPECT_EQ(mention.candidate_scores.size(), 6u);
+    EXPECT_NE(mention.entity, kb::kNoEntity);
+  }
+}
+
+TEST(NedServiceTest, CancelDuringLocalPhaseLeavesUnreachedMentionsEmpty) {
+  const TestWorld& tw = TestWorld::Get();
+  core::CandidateModelStore models(tw.world.knowledge_base.get());
+  core::MilneWittenRelatedness mw(tw.world.knowledge_base.get());
+  core::Aida aida(&models, &mw, core::AidaOptions());
+
+  // One document's mentions repeated until local scoring (dictionary
+  // lookups plus keyphrase similarity) takes far longer than the 20ms the
+  // token allows, so it trips while the local phase is under way.
+  const core::DisambiguationProblem base = ToProblem(tw.corpus.front());
+  ASSERT_FALSE(base.mentions.empty());
+  core::DisambiguationProblem problem;
+  problem.tokens = base.tokens;
+  while (problem.mentions.size() < 50000) {
+    problem.mentions.insert(problem.mentions.end(), base.mentions.begin(),
+                            base.mentions.end());
+  }
+  core::CancellationToken token(core::CancellationToken::Clock::now() +
+                                std::chrono::milliseconds(20));
+  core::DisambiguateOptions options;
+  options.cancel = &token;
+  const core::DisambiguationResult result = aida.Disambiguate(problem, options);
+
+  EXPECT_TRUE(result.cancelled);
+  ASSERT_EQ(result.mentions.size(), problem.mentions.size());
+  // The local-only result of the mentions reached before the trip stays;
+  // the rest stay empty, as after a pre-phase cancel.
+  const core::DisambiguationResult full = aida.Disambiguate(base, {});
+  size_t reached = 0;
+  while (reached < result.mentions.size() &&
+         !result.mentions[reached].candidate_entities.empty()) {
+    ++reached;
+  }
+  EXPECT_LT(reached, result.mentions.size());
+  for (size_t m = reached; m < result.mentions.size(); ++m) {
+    ASSERT_TRUE(result.mentions[m].candidate_entities.empty()) << m;
+    ASSERT_EQ(result.mentions[m].entity, kb::kNoEntity) << m;
+  }
+  for (size_t m = 0; m < reached; ++m) {
+    ASSERT_EQ(result.mentions[m].candidate_entities,
+              full.mentions[m % base.mentions.size()].candidate_entities)
+        << m;
+  }
 }
 
 TEST(NedServiceTest, AggregateStatsSkipsShedAndCancelledResults) {

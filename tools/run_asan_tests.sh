@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
 # Builds the test suite with -DAIDA_SANITIZE=address (which the top-level
 # CMakeLists expands to ASan + UBSan) and runs the concurrency-sensitive
-# tests: the aida::task scheduler, the batch runner, and the aida::serve
-# service, whose task-node ownership handoffs, promise/future handoffs,
-# and drain/shutdown paths are where lifetime bugs would live.
+# tests: the batch runner and the aida::serve service, whose
+# promise/future handoffs and drain/shutdown paths are where lifetime
+# bugs would live.
 # Also replays the tests/fuzz/corpus/ seed corpora (including every fixed
 # crasher) through the sanitized harness binaries, so corpus coverage gets
 # ASan/UBSan eyes even on machines without Clang/libFuzzer.
@@ -19,12 +19,11 @@ BUILD_DIR="${BUILD_DIR:-$REPO_ROOT/build-asan}"
 BATCH_FILTER="${1:-BatchTest.*}"
 SERVE_FILTER="${1:-*}"
 SNAPSHOT_FILTER="${1:-*}"
-TASK_FILTER="${1:-*}"
 
 cmake -B "$BUILD_DIR" -S "$REPO_ROOT" \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DAIDA_SANITIZE=address
-cmake --build "$BUILD_DIR" -j --target task_test batch_test serve_test \
+cmake --build "$BUILD_DIR" -j --target batch_test serve_test \
   snapshot_test kb_serialization_test flat_kb_test \
   fuzz_kb_serialization fuzz_flat_kb fuzz_wiki_importer fuzz_corpus_io fuzz_tokenizer
 
@@ -32,7 +31,6 @@ cmake --build "$BUILD_DIR" -j --target task_test batch_test serve_test \
 # flushed-request paths in the serving layer.
 export ASAN_OPTIONS="${ASAN_OPTIONS:-halt_on_error=1:detect_leaks=1}"
 export UBSAN_OPTIONS="${UBSAN_OPTIONS:-halt_on_error=1:print_stacktrace=1}"
-"$BUILD_DIR/tests/task_test" --gtest_filter="$TASK_FILTER"
 "$BUILD_DIR/tests/batch_test" --gtest_filter="$BATCH_FILTER"
 "$BUILD_DIR/tests/serve_test" --gtest_filter="$SERVE_FILTER"
 "$BUILD_DIR/tests/snapshot_test" --gtest_filter="$SNAPSHOT_FILTER"

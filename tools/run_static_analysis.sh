@@ -49,7 +49,7 @@
 #  10. clang-query AST lints (tools/static_analysis/*.query, driven by
 #      run_clang_query_lints.sh): views stored beyond their snapshot
 #      pin, hash-order iteration in determinism-critical code, raw
-#      std::thread ownership outside util/ + task/. Each lint is
+#      std::thread ownership outside util/. Each lint is
 #      control-validated before it is trusted.
 #
 # Phases 3-10 need LLVM tooling. When a tool is missing the script SKIPS
@@ -333,7 +333,7 @@ phase_clang_build() {
   # bench and example executable. Tests get the annotations' benefit
   # when the full suites build, but the acceptance bar stops here.
   cmake --build "$BUILD_DIR" -j "$JOBS" --target \
-    aida_util aida_text aida_nlp aida_kb aida_ingest aida_task aida_graph \
+    aida_util aida_text aida_nlp aida_kb aida_ingest aida_graph \
     aida_hashing aida_synth aida_core aida_kore aida_ee aida_eval \
     aida_snapshot aida_serve aida_apps \
     aida_cli make_fuzz_seeds \

@@ -1,9 +1,9 @@
 // NEGATIVE CONTROL for lint_raw_thread.query — clang-query must report
 // at least one match in this translation unit. It constructs and stores
 // raw std::threads, the ownership shapes the lint forbids outside
-// src/util/ and src/task/: such threads bypass WorkerPool / Scheduler
-// shutdown ordering and can outlive a request's snapshot pin. If the
-// lint stops matching this file, the gate is broken.
+// src/util/: such threads bypass WorkerPool shutdown ordering and can
+// outlive a request's snapshot pin. If the lint stops matching this
+// file, the gate is broken.
 //
 // Not part of any CMake target: only the analysis script touches it.
 

@@ -9,8 +9,8 @@
 #                                   determinism-critical code
 #                                   (scope: src/core/ + src/graph/)
 #   - lint_raw_thread.query         raw std::thread ownership outside the
-#                                   sanctioned owners (scope: src/ minus
-#                                   src/util/ + src/task/)
+#                                   sanctioned owner (scope: src/ minus
+#                                   src/util/)
 #
 # Each lint is validated before it is trusted: its *_fail.cc control must
 # produce at least one match and its *_ok.cc control must produce none —
@@ -152,8 +152,8 @@ echo "--> lint: hash-order iteration in determinism-critical code"
 run_lint unordered_iteration "$SCRIPT_DIR/lint_unordered_iteration.query" \
   "$REPO_ROOT/src/core/" "$REPO_ROOT/src/graph/"
 
-echo "--> lint: raw std::thread ownership outside util/ + task/"
+echo "--> lint: raw std::thread ownership outside util/"
 run_lint raw_thread "$SCRIPT_DIR/lint_raw_thread.query" \
-  "$REPO_ROOT/src/" -- "$REPO_ROOT/src/util/" "$REPO_ROOT/src/task/"
+  "$REPO_ROOT/src/" -- "$REPO_ROOT/src/util/"
 
 exit "$FAILED"
