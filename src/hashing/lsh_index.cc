@@ -1,7 +1,5 @@
 #include "hashing/lsh_index.h"
 
-#include <algorithm>
-
 #include "hashing/minhash.h"
 #include "util/check.h"
 
@@ -31,30 +29,6 @@ std::vector<uint64_t> LshIndex::BucketKeys(
     keys.push_back(MixHash(sum, 0xC2B2AE3D27D4EB4FULL + b));
   }
   return keys;
-}
-
-void LshIndex::Insert(uint32_t item, const std::vector<uint64_t>& sketch) {
-  for (uint64_t key : BucketKeys(sketch)) {
-    buckets_[key].push_back(item);
-  }
-}
-
-std::vector<std::pair<uint32_t, uint32_t>> LshIndex::CandidatePairs() const {
-  std::vector<std::pair<uint32_t, uint32_t>> pairs;
-  for (const auto& [key, items] : buckets_) {
-    for (size_t i = 0; i < items.size(); ++i) {
-      for (size_t j = i + 1; j < items.size(); ++j) {
-        uint32_t a = items[i];
-        uint32_t b = items[j];
-        if (a == b) continue;
-        if (a > b) std::swap(a, b);
-        pairs.emplace_back(a, b);
-      }
-    }
-  }
-  std::sort(pairs.begin(), pairs.end());
-  pairs.erase(std::unique(pairs.begin(), pairs.end()), pairs.end());
-  return pairs;
 }
 
 }  // namespace aida::hashing

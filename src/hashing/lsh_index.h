@@ -3,7 +3,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 namespace aida::hashing {
@@ -17,30 +16,18 @@ class LshIndex {
  public:
   LshIndex(size_t bands, size_t rows_per_band);
 
-  /// Inserts `item` with its `sketch`; the sketch must have at least
-  /// bands * rows_per_band entries.
-  void Insert(uint32_t item, const std::vector<uint64_t>& sketch);
-
-  /// All unordered item pairs that share at least one bucket, deduplicated
-  /// and sorted. Complexity is linear in total bucket sizes (quadratic only
-  /// within individual buckets).
-  std::vector<std::pair<uint32_t, uint32_t>> CandidatePairs() const;
-
-  /// Number of non-empty buckets.
-  size_t BucketCount() const { return buckets_.size(); }
-
   size_t bands() const { return bands_; }
   size_t rows_per_band() const { return rows_per_band_; }
 
-  /// Computes the bucket keys (one per band) for a sketch without
-  /// inserting. Used by callers that only need bucket identities
-  /// (stage one of the two-stage scheme).
+  /// Computes the bucket keys (one per band) for a sketch of at least
+  /// bands * rows_per_band entries. Two items are comparison candidates
+  /// when any of their keys are equal; both stages of the two-stage
+  /// scheme use the keys as bucket identities.
   std::vector<uint64_t> BucketKeys(const std::vector<uint64_t>& sketch) const;
 
  private:
   size_t bands_;
   size_t rows_per_band_;
-  std::unordered_map<uint64_t, std::vector<uint32_t>> buckets_;
 };
 
 }  // namespace aida::hashing

@@ -1,11 +1,18 @@
 #ifndef AIDA_HASHING_TWO_STAGE_HASHER_H_
 #define AIDA_HASHING_TWO_STAGE_HASHER_H_
 
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <memory>
+#include <span>
+#include <utility>
 #include <vector>
 
+#include "hashing/lsh_index.h"
+#include "hashing/minhash.h"
 #include "kb/keyphrase_store.h"
+#include "util/lifetime.h"
 
 namespace aida::hashing {
 
@@ -37,9 +44,14 @@ TwoStageConfig LshFastConfig();
 ///  phrase-bucket ids, so near-duplicate phrases share buckets and partial
 ///  phrase matches survive the set representation;
 ///
-///  stage 2 (per query): each input entity is represented by the set of its
-///  phrase-bucket ids, min-hash sketched, and banded again; only entities
-///  sharing an entity bucket are compared exactly.
+///  stage 2: each entity is represented by the set of its phrase-bucket
+///  ids, min-hash sketched, and banded again. The band keys depend only on
+///  the entity, so they are computed on the entity's first use and
+///  memoized; a query only collates the keys of its entities, and only
+///  entities sharing a key are compared exactly.
+///
+/// Thread-safe: concurrent GroupEntities calls share the memo, whose
+/// slots are published by compare-and-swap.
 class TwoStageHasher {
  public:
   /// Precomputes stage one over all phrases in `store` (must be finalized).
@@ -48,17 +60,37 @@ class TwoStageHasher {
   /// Phrase-bucket ids (sorted, unique) representing `entity`.
   const std::vector<uint32_t>& EntityBuckets(kb::EntityId entity) const;
 
+  /// The `config().entity_bands` stage-two band keys of `entity`; empty
+  /// for an entity without phrase buckets or outside the store. The view
+  /// lives as long as the hasher.
+  std::span<const uint64_t> BandKeys(kb::EntityId entity) const
+      AIDA_LIFETIME_BOUND;
+
   /// Returns index pairs (into `entities`) that share at least one stage-two
-  /// bucket; only these pairs need exact relatedness computation.
+  /// bucket, sorted and unique; only these pairs need exact relatedness
+  /// computation.
   std::vector<std::pair<uint32_t, uint32_t>> GroupEntities(
       const std::vector<kb::EntityId>& entities) const;
 
   const TwoStageConfig& config() const { return config_; }
 
  private:
+  // One memo slot per entity: null until the entity's band keys are first
+  // computed, then the owned key array.
+  struct KeySlot {
+    KeySlot() = default;
+    KeySlot(const KeySlot&) = delete;
+    KeySlot& operator=(const KeySlot&) = delete;
+    ~KeySlot() { delete[] keys.load(std::memory_order_relaxed); }
+    std::atomic<const uint64_t*> keys{nullptr};
+  };
+
   TwoStageConfig config_;
+  MinHasher entity_hasher_;
+  LshIndex entity_bander_;
   // Per entity: sorted unique phrase-bucket ids.
   std::vector<std::vector<uint32_t>> entity_buckets_;
+  std::unique_ptr<KeySlot[]> band_keys_;
 };
 
 }  // namespace aida::hashing

@@ -1,14 +1,89 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <thread>
+#include <unordered_map>
+#include <utility>
+#include <vector>
 
 #include "hashing/lsh_index.h"
 #include "hashing/minhash.h"
 #include "hashing/two_stage_hasher.h"
 #include "kb/kb_builder.h"
+#include "test_world.h"
 
 namespace aida::hashing {
 namespace {
+
+using Pairs = std::vector<std::pair<uint32_t, uint32_t>>;
+
+// True when some bucket key of `a` equals some bucket key of `b`.
+bool ShareBucket(const std::vector<uint64_t>& a,
+                 const std::vector<uint64_t>& b) {
+  for (uint64_t key : a) {
+    if (std::find(b.begin(), b.end(), key) != b.end()) return true;
+  }
+  return false;
+}
+
+// The reference for TwoStageHasher::GroupEntities: the original grouping,
+// which sketched every query entity afresh and collated the band keys in
+// a key -> items hash map before sorting the pairs.
+Pairs OracleGroup(const TwoStageHasher& hasher,
+                  const std::vector<kb::EntityId>& entities) {
+  const TwoStageConfig& config = hasher.config();
+  MinHasher entity_hasher(config.entity_bands * config.entity_rows,
+                          config.seed ^ 0xABCDEF1234567890ULL);
+  LshIndex bander(config.entity_bands, config.entity_rows);
+  std::unordered_map<uint64_t, std::vector<uint32_t>> buckets;
+  for (uint32_t i = 0; i < entities.size(); ++i) {
+    const std::vector<uint32_t>& ids = hasher.EntityBuckets(entities[i]);
+    if (ids.empty()) continue;
+    for (uint64_t key : bander.BucketKeys(entity_hasher.Sketch(ids))) {
+      buckets[key].push_back(i);
+    }
+  }
+  Pairs pairs;
+  for (const auto& [key, items] : buckets) {
+    for (size_t x = 0; x < items.size(); ++x) {
+      for (size_t y = x + 1; y < items.size(); ++y) {
+        uint32_t a = items[x];
+        uint32_t b = items[y];
+        if (a == b) continue;
+        if (a > b) std::swap(a, b);
+        pairs.emplace_back(a, b);
+      }
+    }
+  }
+  std::sort(pairs.begin(), pairs.end());
+  pairs.erase(std::unique(pairs.begin(), pairs.end()), pairs.end());
+  return pairs;
+}
+
+// Candidate-entity sets of a seeded 120-document CoNLL-like corpus over
+// the shared test world: per document, the dictionary candidates of its
+// mentions in mention order, first occurrence kept.
+std::vector<std::vector<kb::EntityId>> CorpusCandidateSets() {
+  const synth::World& world = testing::TestWorld::Get().world;
+  synth::CorpusConfig config = testing::TestWorld::CorpusConfig();
+  config.seed = 9091;
+  config.num_documents = 120;
+  std::vector<std::vector<kb::EntityId>> sets;
+  for (const corpus::Document& doc :
+       synth::CorpusGenerator(&world, config).Generate()) {
+    std::vector<kb::EntityId> set;
+    for (const corpus::GoldMention& mention : doc.mentions) {
+      for (const kb::NameCandidate& c :
+           world.knowledge_base->dictionary().Lookup(mention.surface)) {
+        if (std::find(set.begin(), set.end(), c.entity) == set.end()) {
+          set.push_back(c.entity);
+        }
+      }
+    }
+    sets.push_back(std::move(set));
+  }
+  return sets;
+}
 
 TEST(MinHashTest, IdenticalSetsIdenticalSketches) {
   MinHasher hasher(16, 7);
@@ -47,23 +122,28 @@ TEST(LshIndexTest, NearDuplicatesCollide) {
   std::vector<uint32_t> a = {1, 2, 3, 4, 5, 6, 7, 8, 9, 10};
   std::vector<uint32_t> b = a;
   b[9] = 999;  // 9/11 Jaccard
-  index.Insert(0, hasher.Sketch(a));
-  index.Insert(1, hasher.Sketch(b));
-  auto pairs = index.CandidatePairs();
-  ASSERT_EQ(pairs.size(), 1u);
-  EXPECT_EQ(pairs[0], (std::pair<uint32_t, uint32_t>(0, 1)));
+  std::vector<uint64_t> keys_a = index.BucketKeys(hasher.Sketch(a));
+  EXPECT_EQ(keys_a.size(), 4u);
+  EXPECT_TRUE(ShareBucket(keys_a, index.BucketKeys(hasher.Sketch(b))));
 }
 
 TEST(LshIndexTest, UnrelatedItemsRarelyCollide) {
   MinHasher hasher(8, 19);
   LshIndex index(4, 2);
+  std::vector<std::vector<uint64_t>> keys;
   for (uint32_t item = 0; item < 20; ++item) {
     std::vector<uint32_t> set;
     for (uint32_t k = 0; k < 10; ++k) set.push_back(item * 1000 + k);
-    index.Insert(item, hasher.Sketch(set));
+    keys.push_back(index.BucketKeys(hasher.Sketch(set)));
   }
   // With bands of size 2 over disjoint sets, collisions are unlikely.
-  EXPECT_LT(index.CandidatePairs().size(), 5u);
+  size_t colliding_pairs = 0;
+  for (size_t i = 0; i < keys.size(); ++i) {
+    for (size_t j = i + 1; j < keys.size(); ++j) {
+      if (ShareBucket(keys[i], keys[j])) ++colliding_pairs;
+    }
+  }
+  EXPECT_LT(colliding_pairs, 5u);
 }
 
 class TwoStageHasherTest : public ::testing::Test {
@@ -87,10 +167,11 @@ class TwoStageHasherTest : public ::testing::Test {
           "mountain pass"}) {
       builder.AddKeyphrase(c_, phrase);
     }
+    no_phrases_ = builder.AddEntity("D");
     kb_ = std::move(builder).Build();
   }
 
-  kb::EntityId a_, b_, c_;
+  kb::EntityId a_, b_, c_, no_phrases_;
   std::unique_ptr<kb::KnowledgeBase> kb_;
 };
 
@@ -139,6 +220,78 @@ TEST_F(TwoStageHasherTest, FastConfigPrunesAtLeastAsMuch) {
   std::vector<kb::EntityId> all = {a_, b_, c_};
   EXPECT_GE(good.GroupEntities(all).size(),
             fast.GroupEntities(all).size());
+}
+
+TEST_F(TwoStageHasherTest, GroupingMatchesOracleOnEdgeSets) {
+  for (const TwoStageConfig& config : {LshGoodConfig(), LshFastConfig()}) {
+    TwoStageHasher hasher(kb_->keyphrases(), config);
+    ASSERT_TRUE(hasher.EntityBuckets(no_phrases_).empty());
+    EXPECT_TRUE(hasher.BandKeys(no_phrases_).empty());
+    EXPECT_EQ(hasher.BandKeys(a_).size(), config.entity_bands);
+    const kb::EntityId outside =
+        static_cast<kb::EntityId>(kb_->keyphrases().collection_size());
+    const std::vector<std::vector<kb::EntityId>> sets = {
+        {},
+        {a_},
+        {a_, a_},
+        {a_, b_, a_, c_, b_},
+        {no_phrases_, a_, no_phrases_, b_},
+        {outside, a_, outside + 7, b_, kb::kNoEntity},
+        {c_, b_, a_, no_phrases_, outside},
+    };
+    for (const std::vector<kb::EntityId>& set : sets) {
+      EXPECT_EQ(hasher.GroupEntities(set), OracleGroup(hasher, set));
+    }
+    // Duplicates share every bucket.
+    EXPECT_EQ(hasher.GroupEntities({a_, a_}), (Pairs{{0, 1}}));
+  }
+}
+
+TEST(TwoStageGroupingTest, MatchesOracleOnCorpusCandidateSets) {
+  const kb::KeyphraseStore& store =
+      testing::TestWorld::Get().world.knowledge_base->keyphrases();
+  const std::vector<std::vector<kb::EntityId>> sets = CorpusCandidateSets();
+  ASSERT_GE(sets.size(), 100u);
+  for (const TwoStageConfig& config : {LshGoodConfig(), LshFastConfig()}) {
+    TwoStageHasher hasher(store, config);
+    size_t pairs = 0;
+    for (const std::vector<kb::EntityId>& set : sets) {
+      const Pairs expected = OracleGroup(hasher, set);
+      EXPECT_EQ(hasher.GroupEntities(set), expected);
+      pairs += expected.size();
+    }
+    EXPECT_GT(pairs, 0u);
+  }
+}
+
+TEST(TwoStageGroupingTest, ConcurrentColdGroupingMatchesOracle) {
+  const kb::KeyphraseStore& store =
+      testing::TestWorld::Get().world.knowledge_base->keyphrases();
+  const std::vector<std::vector<kb::EntityId>> sets = CorpusCandidateSets();
+  const TwoStageHasher reference(store, LshGoodConfig());
+  std::vector<Pairs> expected;
+  for (const std::vector<kb::EntityId>& set : sets) {
+    expected.push_back(OracleGroup(reference, set));
+  }
+
+  // Four threads race to fill the memo of one cold hasher: each walks the
+  // same overlapping sets from a different starting point.
+  const TwoStageHasher hasher(store, LshGoodConfig());
+  constexpr size_t kThreads = 4;
+  std::vector<size_t> mismatches(kThreads, 0);
+  std::vector<std::thread> threads;
+  for (size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (size_t k = 0; k < sets.size(); ++k) {
+        const size_t s = (k + t * sets.size() / kThreads) % sets.size();
+        if (hasher.GroupEntities(sets[s]) != expected[s]) ++mismatches[t];
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  for (size_t t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(mismatches[t], 0u) << "thread " << t;
+  }
 }
 
 }  // namespace

@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <set>
+#include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "core/candidates.h"
@@ -8,11 +12,106 @@
 #include "kore/kore_lsh.h"
 #include "kore/kore_relatedness.h"
 #include "test_world.h"
+#include "util/alloc_probe.h"
 
 namespace aida::kore {
 namespace {
 
 using ::aida::testing::TestWorld;
+
+// The reference for KoreRelatedness::RelatednessOfModels: the original
+// map-based kernel, which rebuilt a word -> phrases hash index and a
+// visited-pair hash set on every call. The production kernel must keep
+// its orientation rule, visit order and summation order, so the two agree
+// bit for bit.
+namespace oracle {
+
+bool IsDuplicateWord(const std::vector<kb::WordId>& words, size_t index) {
+  for (size_t i = 0; i < index; ++i) {
+    if (words[i] == words[index]) return true;
+  }
+  return false;
+}
+
+double PhraseOverlap(const core::CandidatePhrase& p,
+                     const core::CandidatePhrase& q) {
+  double intersection = 0.0;
+  double union_mass = 0.0;
+  for (size_t i = 0; i < p.words.size(); ++i) {
+    if (IsDuplicateWord(p.words, i)) continue;
+    bool shared = false;
+    for (size_t j = 0; j < q.words.size(); ++j) {
+      if (p.words[i] == q.words[j]) {
+        intersection += std::min(p.word_idf[i], q.word_idf[j]);
+        union_mass += std::max(p.word_idf[i], q.word_idf[j]);
+        shared = true;
+        break;
+      }
+    }
+    if (!shared) union_mass += p.word_idf[i];
+  }
+  for (size_t j = 0; j < q.words.size(); ++j) {
+    if (IsDuplicateWord(q.words, j)) continue;
+    bool shared = false;
+    for (size_t i = 0; i < p.words.size(); ++i) {
+      if (p.words[i] == q.words[j]) {
+        shared = true;
+        break;
+      }
+    }
+    if (!shared) union_mass += q.word_idf[j];
+  }
+  if (union_mass <= 0.0) return 0.0;
+  return intersection / union_mass;
+}
+
+double Kore(const core::CandidateModel& a, const core::CandidateModel& b) {
+  double denom = a.total_phrase_weight + b.total_phrase_weight;
+  if (denom <= 0.0) return 0.0;
+  const bool a_is_small =
+      a.phrases.size() != b.phrases.size()
+          ? a.phrases.size() < b.phrases.size()
+          : a.entity <= b.entity;
+  const core::CandidateModel& small = a_is_small ? a : b;
+  const core::CandidateModel& large = a_is_small ? b : a;
+  std::unordered_map<kb::WordId, std::vector<uint32_t>> by_word;
+  for (uint32_t p = 0; p < small.phrases.size(); ++p) {
+    for (kb::WordId w : small.phrases[p].words) by_word[w].push_back(p);
+  }
+  double numerator = 0.0;
+  std::unordered_map<uint64_t, bool> visited;
+  for (uint32_t lp = 0; lp < large.phrases.size(); ++lp) {
+    const core::CandidatePhrase& phrase = large.phrases[lp];
+    for (kb::WordId w : phrase.words) {
+      auto it = by_word.find(w);
+      if (it == by_word.end()) continue;
+      for (uint32_t sp : it->second) {
+        uint64_t key = (static_cast<uint64_t>(lp) << 32) | sp;
+        if (!visited.emplace(key, true).second) continue;
+        double po = PhraseOverlap(phrase, small.phrases[sp]);
+        if (po <= 0.0) continue;
+        numerator += po * po *
+                     std::min(phrase.phrase_weight,
+                              small.phrases[sp].phrase_weight);
+      }
+    }
+  }
+  return numerator / denom;
+}
+
+}  // namespace oracle
+
+// Appends a phrase of `words` with IDF weights `idf` (parallel) to `model`.
+void AddPhrase(core::CandidateModel* model, std::vector<kb::WordId> words,
+               std::vector<double> idf, double weight) {
+  core::CandidatePhrase phrase;
+  phrase.words = std::move(words);
+  phrase.word_idf = std::move(idf);
+  phrase.word_npmi.assign(phrase.words.size(), 0.5);
+  phrase.phrase_weight = weight;
+  model->total_phrase_weight += weight;
+  model->phrases.push_back(std::move(phrase));
+}
 
 class KoreTest : public ::testing::Test {
  protected:
@@ -88,6 +187,125 @@ TEST_F(KoreTest, SymmetricAndBounded) {
     }
   }
   EXPECT_GE(equal_count_pairs, 500u);
+}
+
+TEST_F(KoreTest, KernelMatchesMapOracleBitForBit) {
+  const kb::KeyphraseStore& store = world_.knowledge_base->keyphrases();
+  size_t compared = 0;
+  auto check = [&](const core::CandidateModel& a,
+                   const core::CandidateModel& b) {
+    const double expected = oracle::Kore(a, b);
+    EXPECT_EQ(KoreRelatedness::RelatednessOfModels(a, b), expected)
+        << "entities " << a.entity << " and " << b.entity;
+    EXPECT_EQ(KoreRelatedness::RelatednessOfModels(b, a), oracle::Kore(b, a))
+        << "entities " << b.entity << " and " << a.entity;
+    compared += 2;
+  };
+
+  // Every candidate pair of the CoNLL-like test documents, whose
+  // candidates share many words.
+  for (const corpus::Document& doc : TestWorld::Get().corpus) {
+    std::vector<kb::EntityId> candidates;
+    for (const corpus::GoldMention& mention : doc.mentions) {
+      for (const core::Candidate& c :
+           core::LookupCandidates(models_, mention.surface)) {
+        candidates.push_back(c.entity);
+      }
+    }
+    std::sort(candidates.begin(), candidates.end());
+    candidates.erase(std::unique(candidates.begin(), candidates.end()),
+                     candidates.end());
+    for (size_t i = 0; i < candidates.size(); ++i) {
+      for (size_t j = i; j < candidates.size(); ++j) {
+        check(*models_.ModelFor(candidates[i]),
+              *models_.ModelFor(candidates[j]));
+      }
+    }
+  }
+
+  // Equal phrase counts, where the entity-id tie-break picks the side.
+  const kb::EntityId n = world_.knowledge_base->entity_count();
+  size_t ties = 0;
+  for (kb::EntityId e = 0; e < n && ties < 1000; ++e) {
+    for (kb::EntityId f = e + 1; f < n; ++f) {
+      if (models_.ModelFor(e)->phrases.size() !=
+          models_.ModelFor(f)->phrases.size()) {
+        continue;
+      }
+      check(*models_.ModelFor(e), *models_.ModelFor(f));
+      ++ties;
+    }
+  }
+  EXPECT_GE(ties, 500u);
+
+  // Placeholders mixing KB words with out-of-KB words of an extended
+  // vocabulary (ids >= word_count()), against each other and entities.
+  core::ExtendedVocabulary vocab(&store);
+  std::vector<core::CandidateModel> placeholders;
+  for (kb::EntityId base = 0; base < 8; ++base) {
+    core::CandidateModel model;
+    for (const core::CandidatePhrase& phrase :
+         models_.ModelFor(base)->phrases) {
+      std::vector<kb::WordId> words = phrase.words;
+      std::vector<double> idf = phrase.word_idf;
+      for (size_t i = 1; i < words.size(); i += 2) {
+        words[i] = vocab.GetOrIntern("novel" + std::to_string(words[i] % 7));
+        ASSERT_GE(words[i], store.word_count());
+        idf[i] = vocab.Idf(words[i]);
+      }
+      AddPhrase(&model, words, idf, phrase.phrase_weight);
+    }
+    ASSERT_EQ(model.entity, kb::kNoEntity);
+    placeholders.push_back(std::move(model));
+  }
+  for (const core::CandidateModel& p : placeholders) {
+    for (const core::CandidateModel& q : placeholders) check(p, q);
+    for (kb::EntityId e = 0; e < 40; ++e) check(p, *models_.ModelFor(e));
+  }
+
+  // A phrase with a repeated word, and an empty model.
+  const core::CandidateModel& real = *models_.ModelFor(0);
+  const core::CandidatePhrase& first = real.phrases.front();
+  core::CandidateModel repeated;
+  AddPhrase(&repeated, {first.words[0], first.words[0], first.words[0]},
+            {first.word_idf[0], first.word_idf[0], first.word_idf[0]}, 0.7);
+  AddPhrase(&repeated, first.words, first.word_idf, 0.3);
+  const core::CandidateModel empty;
+  for (const core::CandidateModel* m :
+       std::vector<const core::CandidateModel*>{&repeated, &empty}) {
+    check(*m, real);
+    check(*m, repeated);
+    check(*m, empty);
+  }
+  EXPECT_GT(KoreRelatedness::RelatednessOfModels(repeated, real), 0.0);
+
+  EXPECT_GE(compared, 10000u);
+}
+
+TEST_F(KoreTest, NoWordIdScratchBoundedByModel) {
+  // A hand-built model may carry kb::kNoWord; the kernel's scratch must
+  // follow the model's size, not the id's value.
+  const core::CandidateModel& real = *models_.ModelFor(1);
+  const core::CandidatePhrase& first = real.phrases.front();
+  core::CandidateModel odd;
+  AddPhrase(&odd, {kb::kNoWord, first.words[0]}, {2.0, first.word_idf[0]},
+            0.5);
+  AddPhrase(&odd, {kb::kNoWord}, {1.0}, 0.25);
+  for (const core::CandidateModel* other :
+       std::vector<const core::CandidateModel*>{&real, &odd}) {
+    util::ScopedAllocationCount probe;
+    const double ab = KoreRelatedness::RelatednessOfModels(odd, *other);
+    const double ba = KoreRelatedness::RelatednessOfModels(*other, odd);
+    const uint64_t bytes = probe.bytes_allocated();
+    EXPECT_TRUE(std::isfinite(ab));
+    EXPECT_EQ(ab, oracle::Kore(odd, *other));
+    EXPECT_EQ(ba, oracle::Kore(*other, odd));
+    // A table indexed by word id would need 2^32 slots here.
+    if (util::AllocProbeAvailable()) {
+      EXPECT_LT(bytes, 1u << 20);
+    }
+  }
+  EXPECT_GT(KoreRelatedness::RelatednessOfModels(odd, odd), 0.0);
 }
 
 TEST_F(KoreTest, SelfRelatednessIsHigh) {

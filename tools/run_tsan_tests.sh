@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
 # Builds the test suite with -DAIDA_SANITIZE=thread and runs the
 # concurrency-sensitive tests (the annotated mutex/condvar primitives,
-# batch runner, relatedness cache, per-call stats, and the aida::serve
-# worker pool / queue / metrics) under ThreadSanitizer. Any data race
-# fails the run.
+# batch runner, relatedness cache, per-call stats, the aida::serve
+# worker pool / queue / metrics, the two-stage hasher's per-entity band-key
+# memo and the per-thread scratch of the KORE kernel) under
+# ThreadSanitizer. Any data race fails the run.
 #
 # Usage: tools/run_tsan_tests.sh [extra gtest filter]
 #   BUILD_DIR=build-tsan  override the build directory
@@ -16,11 +17,14 @@ BATCH_FILTER="${1:-BatchTest.*}"
 SERVE_FILTER="${1:-*}"
 SNAPSHOT_FILTER="${1:-*}"
 MUTEX_FILTER="${1:-*}"
+HASHING_FILTER="${1:-*}"
+KORE_FILTER="${1:-*}"
 
 cmake -B "$BUILD_DIR" -S "$REPO_ROOT" \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DAIDA_SANITIZE=thread
-cmake --build "$BUILD_DIR" -j --target mutex_test batch_test serve_test snapshot_test kb_serialization_test
+cmake --build "$BUILD_DIR" -j --target mutex_test batch_test serve_test snapshot_test kb_serialization_test \
+  hashing_test kore_test
 
 # halt_on_error makes the first race fail fast with a non-zero exit.
 # tools/tsan.supp silences the known libstdc++ _Sp_atomic false positive
@@ -34,5 +38,9 @@ TSAN_OPTIONS="${TSAN_OPTIONS:-$DEFAULT_TSAN_OPTIONS}" \
   "$BUILD_DIR/tests/serve_test" --gtest_filter="$SERVE_FILTER"
 TSAN_OPTIONS="${TSAN_OPTIONS:-$DEFAULT_TSAN_OPTIONS}" \
   "$BUILD_DIR/tests/snapshot_test" --gtest_filter="$SNAPSHOT_FILTER"
+TSAN_OPTIONS="${TSAN_OPTIONS:-$DEFAULT_TSAN_OPTIONS}" \
+  "$BUILD_DIR/tests/hashing_test" --gtest_filter="$HASHING_FILTER"
+TSAN_OPTIONS="${TSAN_OPTIONS:-$DEFAULT_TSAN_OPTIONS}" \
+  "$BUILD_DIR/tests/kore_test" --gtest_filter="$KORE_FILTER"
 
-echo "TSan mutex/batch/cache/serve/snapshot tests passed: no data races reported."
+echo "TSan mutex/batch/cache/serve/snapshot/hashing/kore tests passed: no data races reported."
