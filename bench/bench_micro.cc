@@ -1,14 +1,18 @@
 // Google-benchmark microbenchmarks for the performance-critical
 // primitives: min-hash sketching, two-stage LSH grouping, KORE and
-// Milne-Witten pair computation, keyphrase-cover context scoring, and the
-// constrained dense-subgraph solver.
+// Milne-Witten pair computation, keyphrase-cover context scoring, the
+// constrained dense-subgraph solver, and Algorithm 1 end to end on one
+// mention-entity graph.
 
 #include <benchmark/benchmark.h>
 
 #include "core/aida.h"
 #include "core/candidates.h"
 #include "core/context_similarity.h"
+#include "core/graph_disambiguator.h"
+#include "core/mention_entity_graph.h"
 #include "core/relatedness.h"
+#include "core/robustness.h"
 #include "graph/dense_subgraph.h"
 #include "hashing/minhash.h"
 #include "hashing/two_stage_hasher.h"
@@ -148,6 +152,90 @@ void BM_DenseSubgraph(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_DenseSubgraph)->Arg(10)->Arg(25)->Arg(50);
+
+// A heavy-shaped document's mention-entity graph (500 tokens, 35
+// entities x 1.5 mentions, MW coherence; local weights blend prior and
+// keyphrase similarity as Aida does): the first of a seeded corpus whose
+// post-processing enumerates at least 10,000 assignments exhaustively.
+struct SolverFixture {
+  std::vector<std::vector<core::Candidate>> candidates;
+  core::MentionEntityGraph graph;
+  uint64_t leaves = 0;
+
+  static const SolverFixture& Get() {
+    static const SolverFixture& fixture = *new SolverFixture();
+    return fixture;
+  }
+
+ private:
+  SolverFixture() {
+    const Fixture& base = Fixture::Get();
+    synth::CorpusConfig config;
+    config.seed = 4711;
+    config.num_documents = 200;
+    config.doc_tokens = 500;
+    config.entities_per_doc = 35;
+    config.mention_repeat = 1.5;
+    const corpus::Corpus docs =
+        synth::CorpusGenerator(&base.world, config).Generate();
+    core::MilneWittenRelatedness mw(base.world.knowledge_base.get());
+    core::ExtendedVocabulary vocab(
+        &base.world.knowledge_base->keyphrases());
+    core::ContextSimilarity similarity;
+    const core::AidaOptions defaults;
+    // With no combination allowed and no local-search step, a solve
+    // counts only the greedy peel; the difference is the leaf count.
+    core::GraphDisambiguatorOptions greedy_only;
+    greedy_only.max_exhaustive_combinations = 0;
+    greedy_only.local_search_iterations = 0;
+    for (const corpus::Document& doc : docs) {
+      core::DocumentContext context(doc.tokens, vocab);
+      core::GraphBuildInput input;
+      candidates.assign(doc.mentions.size(), {});
+      input.mentions.resize(doc.mentions.size());
+      for (size_t m = 0; m < doc.mentions.size(); ++m) {
+        const corpus::GoldMention& mention = doc.mentions[m];
+        candidates[m] = core::LookupCandidates(*base.models, mention.surface);
+        std::vector<double> sims;
+        for (const core::Candidate& cand : candidates[m]) {
+          sims.push_back(similarity.Score(context, mention.begin_token,
+                                          mention.end_token, *cand.model));
+        }
+        const std::vector<double> sim_dist =
+            core::robustness::ToDistribution(sims);
+        input.mentions[m].candidates = &candidates[m];
+        for (size_t c = 0; c < candidates[m].size(); ++c) {
+          input.mentions[m].me_weights.push_back(
+              defaults.prior_weight * candidates[m][c].prior +
+              defaults.sim_weight * sim_dist[c]);
+        }
+      }
+      input.me_scale = defaults.me_scale;
+      input.ee_scale = defaults.ee_scale;
+      graph = core::BuildMentionEntityGraph(input, mw);
+      leaves = core::SolveMentionEntityGraph(graph, {}).iterations -
+               core::SolveMentionEntityGraph(graph, greedy_only).iterations;
+      if (leaves >= 10000) return;
+    }
+    leaves = 0;
+  }
+};
+
+void BM_SolveMentionEntityGraph(benchmark::State& state) {
+  const SolverFixture& fixture = SolverFixture::Get();
+  if (fixture.leaves == 0) {
+    state.SkipWithError("no seeded document reaches 10,000 leaves");
+    return;
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        core::SolveMentionEntityGraph(fixture.graph, {}));
+  }
+  state.counters["mentions"] =
+      static_cast<double>(fixture.graph.num_mentions);
+  state.counters["leaves"] = static_cast<double>(fixture.leaves);
+}
+BENCHMARK(BM_SolveMentionEntityGraph)->Unit(benchmark::kMillisecond);
 
 void BM_AidaDocument(benchmark::State& state) {
   const Fixture& fixture = Fixture::Get();

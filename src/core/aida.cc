@@ -27,7 +27,11 @@ std::string Aida::name() const {
   n += "+sim-k";
   if (options_.use_coherence) {
     n += options_.use_coherence_test ? "+r-coh" : "+coh";
-    if (relatedness_ != nullptr) n += "(" + relatedness_->name() + ")";
+    if (relatedness_ != nullptr) {
+      n += '(';
+      n += relatedness_->name();
+      n += ')';
+    }
   }
   return n;
 }
@@ -198,6 +202,7 @@ DisambiguationResult Aida::Disambiguate(
   MentionEntityGraph meg = BuildMentionEntityGraph(
       input, *relatedness_, GraphBuildContext{.cancel = options.cancel});
   result.stats.relatedness_computations = meg.relatedness_computations;
+  result.stats.graph_relatedness_computations = meg.relatedness_computations;
   result.stats.relatedness_cache_hits = meg.relatedness_cache_hits;
   result.stats.graph_build_seconds = phase_watch.ElapsedSeconds();
 

@@ -2,9 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <functional>
 #include <limits>
-#include <unordered_map>
 
 #include "graph/dense_subgraph.h"
 #include "graph/shortest_paths.h"
@@ -17,11 +15,6 @@ namespace {
 
 // Distance charged for unreachable nodes in the pre-pruning phase.
 constexpr double kUnreachablePenalty = 1e6;
-
-uint64_t EdgeKey(graph::NodeId u, graph::NodeId v) {
-  if (u > v) std::swap(u, v);
-  return (static_cast<uint64_t>(u) << 32) | v;
-}
 
 }  // namespace
 
@@ -114,14 +107,12 @@ GraphSolution SolveMentionEntityGraph(
     }
   }
   graph::WeightedGraph pruned(next_id);
-  std::unordered_map<uint64_t, double> edge_weight;
   for (graph::NodeId u = 0; u < full.node_count(); ++u) {
     if (old_to_new[u] == std::numeric_limits<uint32_t>::max()) continue;
     for (const graph::Edge& e : full.Neighbors(u)) {
       if (e.to <= u) continue;  // visit each undirected edge once
       if (old_to_new[e.to] == std::numeric_limits<uint32_t>::max()) continue;
       pruned.AddEdge(old_to_new[u], old_to_new[e.to], e.weight);
-      edge_weight[EdgeKey(old_to_new[u], old_to_new[e.to])] = e.weight;
     }
   }
 
@@ -158,67 +149,70 @@ GraphSolution SolveMentionEntityGraph(
   }
 
   // ---- Post-processing: resolve remaining per-mention choices ---------------
-  // Alive candidates per mention.
-  std::vector<std::vector<std::pair<graph::NodeId, uint32_t>>> alive(
-      num_mentions);
-  for (size_t m = 0; m < num_mentions; ++m) {
-    for (const auto& [node, c] : mention_nodes[m]) {
-      if (dense.alive[node]) alive[m].emplace_back(node, c);
-    }
-    // The greedy loop guarantees one candidate per non-empty group; fall
-    // back to all kept candidates if anything went sideways.
-    if (alive[m].empty()) alive[m] = mention_nodes[m];
-  }
-
-  auto me_weight = [&](size_t m, graph::NodeId node) {
-    auto it = edge_weight.find(
-        EdgeKey(static_cast<graph::NodeId>(m), node));
-    return it == edge_weight.end() ? 0.0 : it->second;
-  };
-  auto ee_weight = [&](graph::NodeId a, graph::NodeId b) {
-    if (a == b) return 0.0;
-    auto it = edge_weight.find(EdgeKey(a, b));
-    return it == edge_weight.end() ? 0.0 : it->second;
-  };
-
+  // Occurrences: the alive (new node id, candidate index) pairs, active
+  // mentions in mention order and candidates in candidate order; active
+  // mention i owns occurrences [first[i], first[i + 1]). The greedy loop
+  // guarantees one alive candidate per non-empty group; fall back to all
+  // kept candidates if anything went sideways.
   std::vector<size_t> active;  // mentions that have alive candidates
+  std::vector<uint32_t> first;
+  std::vector<std::pair<graph::NodeId, uint32_t>> occ;
   uint64_t combinations = 1;
   bool overflow = false;
   for (size_t m = 0; m < num_mentions; ++m) {
-    if (alive[m].empty()) continue;
+    const uint32_t begin = static_cast<uint32_t>(occ.size());
+    for (const auto& node_candidate : mention_nodes[m]) {
+      if (dense.alive[node_candidate.first]) occ.push_back(node_candidate);
+    }
+    if (occ.size() == begin) {
+      occ.insert(occ.end(), mention_nodes[m].begin(), mention_nodes[m].end());
+    }
+    if (occ.size() == begin) continue;
     active.push_back(m);
+    first.push_back(begin);
     if (combinations > options.max_exhaustive_combinations) {
       overflow = true;
     } else {
-      combinations *= alive[m].size();
+      combinations *= occ.size() - begin;
       if (combinations > options.max_exhaustive_combinations) overflow = true;
     }
   }
+  first.push_back(static_cast<uint32_t>(occ.size()));
 
-  std::vector<uint32_t> pick(active.size(), 0);  // index into alive[m]
+  // Dense occurrence table: me[u] is the weight of u's mention-entity edge
+  // and w[u * A + v] the weight of the edge between the entity nodes of u
+  // and v, 0.0 for the same node or no edge. Entries are copied from
+  // `pruned`'s adjacency (the last of any parallel edges wins), so every
+  // sum below adds the same operands in the same order as a per-edge
+  // lookup would, and rounds identically.
+  const size_t A = occ.size();
+  std::vector<double> me(A);
+  std::vector<double> w(A * A);
+  std::vector<double> row(next_id, 0.0);
+  for (size_t i = 0; i < active.size(); ++i) {
+    for (uint32_t u = first[i]; u < first[i + 1]; ++u) {
+      const graph::NodeId node = occ[u].first;
+      for (const graph::Edge& e : pruned.Neighbors(node)) row[e.to] = e.weight;
+      me[u] = row[active[i]];
+      double* wu = &w[u * A];
+      for (size_t v = 0; v < A; ++v) {
+        wu[v] = occ[v].first == node ? 0.0 : row[occ[v].first];
+      }
+      for (const graph::Edge& e : pruned.Neighbors(node)) row[e.to] = 0.0;
+    }
+  }
+
+  // The occurrence chosen per active mention.
+  std::vector<uint32_t> pick(first.begin(), first.end() - 1);
   std::vector<uint32_t> best_pick = pick;
   double best_total = -std::numeric_limits<double>::infinity();
-
-  auto total_weight = [&](const std::vector<uint32_t>& p) {
-    double total = 0.0;
-    for (size_t i = 0; i < active.size(); ++i) {
-      graph::NodeId ni = alive[active[i]][p[i]].first;
-      total += me_weight(active[i], ni);
-      for (size_t j = i + 1; j < active.size(); ++j) {
-        total += ee_weight(ni, alive[active[j]][p[j]].first);
-      }
-    }
-    return total;
-  };
 
   if (!overflow) {
     // Exhaustive enumeration with incremental scoring. Cancellation is
     // polled every 256 evaluated leaves so a slow enumeration cannot
     // outlive its request deadline.
-    std::vector<uint32_t> current(active.size(), 0);
     bool dfs_aborted = false;
-    std::function<void(size_t, double)> dfs = [&](size_t depth, double acc) {
-      if (dfs_aborted) return;
+    auto dfs = [&](auto& self, size_t depth, double acc) -> void {
       if (depth == active.size()) {
         ++solution.iterations;
         if ((solution.iterations & 0xFF) == 0 && cancel != nullptr &&
@@ -228,22 +222,20 @@ GraphSolution SolveMentionEntityGraph(
         }
         if (acc > best_total) {
           best_total = acc;
-          best_pick = current;
+          best_pick = pick;
         }
         return;
       }
-      for (uint32_t c = 0; c < alive[active[depth]].size(); ++c) {
-        current[depth] = c;
-        graph::NodeId node = alive[active[depth]][c].first;
-        double add = me_weight(active[depth], node);
-        for (size_t j = 0; j < depth; ++j) {
-          add += ee_weight(node, alive[active[j]][current[j]].first);
-        }
-        dfs(depth + 1, acc + add);
+      for (uint32_t u = first[depth]; u < first[depth + 1]; ++u) {
+        pick[depth] = u;
+        const double* wu = &w[u * A];
+        double add = me[u];
+        for (size_t j = 0; j < depth; ++j) add += wu[pick[j]];
+        self(self, depth + 1, acc + add);
         if (dfs_aborted) return;
       }
     };
-    dfs(0, 0.0);
+    dfs(dfs, 0, 0.0);
     if (dfs_aborted) {
       solution.aborted = true;
       return solution;
@@ -253,18 +245,28 @@ GraphSolution SolveMentionEntityGraph(
     // propose single-mention swaps with probability proportional to the
     // candidates' weighted degrees.
     util::Rng rng(options.seed);
+    std::vector<double> occ_degree(A);
+    for (size_t u = 0; u < A; ++u) {
+      occ_degree[u] = pruned.WeightedDegree(occ[u].first);
+    }
     for (size_t i = 0; i < active.size(); ++i) {
       double best_deg = -1.0;
-      for (uint32_t c = 0; c < alive[active[i]].size(); ++c) {
-        double deg = pruned.WeightedDegree(alive[active[i]][c].first);
-        if (deg > best_deg) {
-          best_deg = deg;
-          pick[i] = c;
+      for (uint32_t u = first[i]; u < first[i + 1]; ++u) {
+        if (occ_degree[u] > best_deg) {
+          best_deg = occ_degree[u];
+          pick[i] = u;
         }
       }
     }
     best_pick = pick;
-    best_total = total_weight(pick);
+    best_total = 0.0;
+    for (size_t i = 0; i < active.size(); ++i) {
+      const double* wi = &w[pick[i] * A];
+      best_total += me[pick[i]];
+      for (size_t j = i + 1; j < active.size(); ++j) {
+        best_total += wi[pick[j]];
+      }
+    }
     double current_total = best_total;
     std::vector<double> degrees;
     for (size_t iter = 0; iter < options.local_search_iterations; ++iter) {
@@ -274,23 +276,21 @@ GraphSolution SolveMentionEntityGraph(
       }
       ++solution.iterations;
       size_t i = rng.UniformInt(active.size());
-      const auto& cands = alive[active[i]];
-      if (cands.size() < 2) continue;
+      if (first[i + 1] - first[i] < 2) continue;
       degrees.clear();
-      for (const auto& [node, c] : cands) {
-        degrees.push_back(pruned.WeightedDegree(node) + 1e-9);
+      for (uint32_t u = first[i]; u < first[i + 1]; ++u) {
+        degrees.push_back(occ_degree[u] + 1e-9);
       }
-      uint32_t proposal = static_cast<uint32_t>(rng.Categorical(degrees));
+      uint32_t proposal =
+          first[i] + static_cast<uint32_t>(rng.Categorical(degrees));
       if (proposal == pick[i]) continue;
       // Incremental delta.
-      graph::NodeId old_node = cands[pick[i]].first;
-      graph::NodeId new_node = cands[proposal].first;
-      double delta = me_weight(active[i], new_node) -
-                     me_weight(active[i], old_node);
+      const double* w_new = &w[proposal * A];
+      const double* w_old = &w[pick[i] * A];
+      double delta = me[proposal] - me[pick[i]];
       for (size_t j = 0; j < active.size(); ++j) {
         if (j == i) continue;
-        graph::NodeId other = alive[active[j]][pick[j]].first;
-        delta += ee_weight(new_node, other) - ee_weight(old_node, other);
+        delta += w_new[pick[j]] - w_old[pick[j]];
       }
       if (delta > 0) {
         pick[i] = proposal;
@@ -306,7 +306,7 @@ GraphSolution SolveMentionEntityGraph(
   solution.total_weight = best_total;
   for (size_t i = 0; i < active.size(); ++i) {
     solution.chosen_candidate[active[i]] =
-        static_cast<int32_t>(alive[active[i]][best_pick[i]].second);
+        static_cast<int32_t>(occ[best_pick[i]].second);
   }
   return solution;
 }

@@ -85,6 +85,10 @@ struct DisambiguationStats {
   /// Evaluations of the underlying RelatednessMeasure performed on behalf
   /// of this call (cache misses, when a cache is in play).
   uint64_t relatedness_computations = 0;
+  /// The part of relatedness_computations spent building the
+  /// mention-entity graph: the entity-entity comparisons that Table 4.4
+  /// counts, without the final re-scoring of every candidate.
+  uint64_t graph_relatedness_computations = 0;
   /// Pair values served from a shared RelatednessCache instead.
   uint64_t relatedness_cache_hits = 0;
   /// Graph-solver work: greedy peel steps plus post-processing
@@ -108,6 +112,7 @@ struct DisambiguationStats {
 
   DisambiguationStats& operator+=(const DisambiguationStats& other) {
     relatedness_computations += other.relatedness_computations;
+    graph_relatedness_computations += other.graph_relatedness_computations;
     relatedness_cache_hits += other.relatedness_cache_hits;
     graph_iterations += other.graph_iterations;
     parallel_tasks += other.parallel_tasks;
