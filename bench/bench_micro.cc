@@ -212,7 +212,13 @@ struct SolverFixture {
       }
       input.me_scale = defaults.me_scale;
       input.ee_scale = defaults.ee_scale;
-      graph = core::BuildMentionEntityGraph(input, mw);
+      std::vector<const std::vector<core::Candidate>*> lists;
+      for (const auto& entry : input.mentions) {
+        lists.push_back(entry.candidates);
+      }
+      core::DocumentEntityTable entities;
+      entities.Build(lists, mw);
+      graph = core::BuildMentionEntityGraph(input, entities, mw);
       leaves = core::SolveMentionEntityGraph(graph, {}).iterations -
                core::SolveMentionEntityGraph(graph, greedy_only).iterations;
       if (leaves >= 10000) return;

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <span>
 
+#include "core/mention_entity_graph.h"
 #include "core/robustness.h"
 #include "util/status.h"
 #include "util/stopwatch.h"
@@ -177,30 +179,30 @@ DisambiguationResult Aida::Disambiguate(
 
   // ---- Graph construction ----------------------------------------------------
   phase_watch.Reset();
+  // One table of the document's candidate entities, with the measure's
+  // kept pairs, serves both the graph build and the re-scoring below, so
+  // the solver and the final scores read one coherence model. Reused per
+  // thread across requests.
+  thread_local DocumentEntityTable entities;
+  entities.Build(candidates, *relatedness_);
   GraphBuildInput input;
   input.me_scale = options_.me_scale;
   input.ee_scale = options_.ee_scale;
   input.mentions.resize(num_mentions);
-  std::vector<std::vector<Candidate>> graph_cands(num_mentions);
-  std::vector<std::vector<uint32_t>> original_index(num_mentions);
   for (size_t m = 0; m < num_mentions; ++m) {
-    const std::vector<Candidate>& cands = *candidates[m];
+    GraphBuildInput::MentionEntry& entry = input.mentions[m];
+    entry.candidates = candidates[m];
     if (fixed[m]) {
-      graph_cands[m].push_back(cands[fixed_choice[m]]);
-      original_index[m].push_back(static_cast<uint32_t>(fixed_choice[m]));
-      input.mentions[m].me_weights.push_back(combined[m][fixed_choice[m]]);
+      entry.first = fixed_choice[m];
+      entry.me_weights.push_back(combined[m][fixed_choice[m]]);
     } else {
-      for (uint32_t c = 0; c < cands.size(); ++c) {
-        graph_cands[m].push_back(cands[c]);
-        original_index[m].push_back(c);
-        input.mentions[m].me_weights.push_back(combined[m][c]);
-      }
+      entry.me_weights = combined[m];
     }
-    input.mentions[m].candidates = &graph_cands[m];
   }
 
-  MentionEntityGraph meg = BuildMentionEntityGraph(
-      input, *relatedness_, GraphBuildContext{.cancel = options.cancel});
+  MentionEntityGraph meg =
+      BuildMentionEntityGraph(input, entities, *relatedness_,
+                              GraphBuildContext{.cancel = options.cancel});
   result.stats.relatedness_computations = meg.relatedness_computations;
   result.stats.graph_relatedness_computations = meg.relatedness_computations;
   result.stats.relatedness_cache_hits = meg.relatedness_cache_hits;
@@ -231,28 +233,34 @@ DisambiguationResult Aida::Disambiguate(
 
   // ---- Map back and score all original candidates -----------------------------
   std::vector<const Candidate*> chosen(num_mentions, nullptr);
+  std::vector<uint32_t> chosen_slot(num_mentions, 0);
   std::vector<int32_t> chosen_original(num_mentions, -1);
   for (size_t m = 0; m < num_mentions; ++m) {
     if (sol.chosen_candidate[m] < 0) continue;
-    uint32_t gi = static_cast<uint32_t>(sol.chosen_candidate[m]);
-    chosen_original[m] = static_cast<int32_t>(original_index[m][gi]);
-    chosen[m] = &graph_cands[m][gi];
+    const size_t c =
+        input.mentions[m].first + static_cast<size_t>(sol.chosen_candidate[m]);
+    chosen_original[m] = static_cast<int32_t>(c);
+    chosen[m] = &(*candidates[m])[c];
+    chosen_slot[m] = entities.Slots(m)[c];
   }
 
   // Weighted-degree style candidate scores: local weight plus coherence to
   // the entities chosen for the other mentions (used by the confidence
-  // machinery of Section 5.4).
+  // machinery of Section 5.4). A pair the measure's filter does not keep
+  // adds nothing, as it adds no edge to the graph.
   std::vector<std::vector<double>> rescored(num_mentions);
   for (size_t m = 0; m < num_mentions; ++m) {
     if (tripped()) break;
     const std::vector<Candidate>& cands = *candidates[m];
     if (cands.empty()) continue;
+    const std::span<const uint32_t> slots = entities.Slots(m);
     std::vector<double>& scores = rescored[m];
     scores.assign(cands.size(), 0.0);
     for (size_t c = 0; c < cands.size(); ++c) {
       double coherence = 0.0;
       for (size_t other = 0; other < num_mentions; ++other) {
         if (other == m || chosen[other] == nullptr) continue;
+        if (!entities.Kept(slots[c], chosen_slot[other])) continue;
         bool cache_hit = false;
         coherence += cands[c].weight_scale * chosen[other]->weight_scale *
                      relatedness_->RelatednessTracked(cands[c], *chosen[other],

@@ -1,11 +1,62 @@
 #include "core/mention_entity_graph.h"
 
 #include <algorithm>
-#include <unordered_map>
+#include <bit>
 
 #include "util/status.h"
 
 namespace aida::core {
+
+void DocumentEntityTable::Build(
+    std::span<const std::vector<Candidate>* const> mentions,
+    const RelatednessMeasure& relatedness) {
+  size_t total = 0;
+  for (const std::vector<Candidate>* cands : mentions) {
+    AIDA_CHECK(cands != nullptr);
+    total += cands->size();
+  }
+  size_t capacity = 16;
+  while (capacity < 2 * total) capacity *= 2;
+  index_.assign(capacity, {kb::kNoEntity, kNoSlot});
+  index_shift_ = 64 - std::countr_zero(capacity);
+
+  offsets_.clear();
+  slots_.clear();
+  entities_.clear();
+  for (const std::vector<Candidate>* cands : mentions) {
+    offsets_.push_back(slots_.size());
+    for (const Candidate& cand : *cands) slots_.push_back(SlotOf(cand));
+  }
+  offsets_.push_back(slots_.size());
+
+  filtered_ = relatedness.has_pair_filter();
+  const size_t n = entities_.size();
+  row_words_ = (n + 63) / 64;
+  if (!filtered_) return;
+  kept_.assign(n * row_words_, 0);
+  for (const auto& [a, b] : relatedness.FilterPairs(entities_)) {
+    AIDA_CHECK(a < n && b < n);
+    kept_[a * row_words_ + b / 64] |= uint64_t{1} << (b % 64);
+    kept_[b * row_words_ + a / 64] |= uint64_t{1} << (a % 64);
+  }
+}
+
+uint32_t DocumentEntityTable::SlotOf(const Candidate& cand) {
+  const uint32_t fresh = static_cast<uint32_t>(entities_.size());
+  if (!cand.is_placeholder) {
+    // Fibonacci hashing: entity ids are small and dense.
+    const size_t mask = index_.size() - 1;
+    size_t s = static_cast<size_t>(
+        (uint64_t{cand.entity} * 0x9E3779B97F4A7C15ull) >> index_shift_);
+    while (index_[s].second != kNoSlot && index_[s].first != cand.entity) {
+      s = (s + 1) & mask;
+    }
+    if (index_[s].second != kNoSlot) return index_[s].second;
+    index_[s] = {cand.entity, fresh};
+  }
+  entities_.push_back(&cand);
+  return fresh;
+}
 
 namespace {
 
@@ -15,24 +66,28 @@ struct PendingEdge {
   double weight = 0.0;
 };
 
+constexpr uint32_t kNoNode = 0xFFFFFFFFu;
+
 // Reusable per-thread build scratch. Graph construction runs per request
-// on the serving hot path; allocating the dedup map and edge vectors
+// on the serving hot path; allocating the node map and edge vectors
 // fresh each time made every request a malloc storm that serialized
 // workers on the allocator's shared arenas. Each worker thread instead
 // reuses one scratch block sized by the largest document it has seen
 // (clear() keeps capacity). Safe because a build never recurses and the
 // scratch never escapes the call.
 struct BuildScratch {
-  std::unordered_map<kb::EntityId, size_t> entity_index;
+  // Per table slot: its entity node index, or kNoNode.
+  std::vector<uint32_t> node_of_slot;
+  // Per entity node: its table slot.
+  std::vector<uint32_t> slot_of_node;
   std::vector<PendingEdge> me_edges;
   std::vector<PendingEdge> ee_edges;
-  std::vector<const Candidate*> all_candidates;
 
-  void Reset() {
-    entity_index.clear();
+  void Reset(size_t slots) {
+    node_of_slot.assign(slots, kNoNode);
+    slot_of_node.clear();
     me_edges.clear();
     ee_edges.clear();
-    all_candidates.clear();
   }
 };
 
@@ -44,38 +99,36 @@ BuildScratch& ThisThreadScratch() {
 }  // namespace
 
 MentionEntityGraph BuildMentionEntityGraph(
-    const GraphBuildInput& input, const RelatednessMeasure& relatedness,
+    const GraphBuildInput& input, const DocumentEntityTable& entities,
+    const RelatednessMeasure& relatedness,
     const GraphBuildContext& context) {
   MentionEntityGraph meg;
   meg.num_mentions = input.mentions.size();
 
   BuildScratch& scratch = ThisThreadScratch();
-  scratch.Reset();
+  scratch.Reset(entities.size());
 
-  // ---- Assign entity nodes (deduplicating in-KB entities) -----------------
-  std::unordered_map<kb::EntityId, size_t>& entity_index =
-      scratch.entity_index;
+  // ---- Assign entity nodes: one per slot, by first occurrence -------------
+  // The table gives placeholders private slots, so they stay
+  // mention-private nodes.
+  std::vector<uint32_t>& node_of_slot = scratch.node_of_slot;
+  std::vector<uint32_t>& slot_of_node = scratch.slot_of_node;
+  AIDA_CHECK(entities.mention_count() == meg.num_mentions);
   meg.mention_candidate_nodes.resize(meg.num_mentions);
   for (uint32_t m = 0; m < input.mentions.size(); ++m) {
     const auto& entry = input.mentions[m];
     AIDA_CHECK(entry.candidates != nullptr);
-    AIDA_CHECK(entry.me_weights.size() == entry.candidates->size());
-    for (uint32_t c = 0; c < entry.candidates->size(); ++c) {
-      const Candidate& cand = (*entry.candidates)[c];
-      size_t index;
-      if (!cand.is_placeholder) {
-        auto [it, inserted] =
-            entity_index.emplace(cand.entity, meg.entity_candidates.size());
-        index = it->second;
-        if (inserted) {
-          meg.entity_candidates.push_back(&cand);
-          meg.entity_sources.emplace_back();
-        }
-      } else {
-        // Placeholders are mention-private nodes.
-        index = meg.entity_candidates.size();
-        meg.entity_candidates.push_back(&cand);
+    const std::span<const uint32_t> slots = entities.Slots(m);
+    AIDA_CHECK(slots.size() == entry.candidates->size());
+    AIDA_CHECK(entry.first + entry.me_weights.size() <= slots.size());
+    for (uint32_t c = 0; c < entry.me_weights.size(); ++c) {
+      const uint32_t slot = slots[entry.first + c];
+      uint32_t& index = node_of_slot[slot];
+      if (index == kNoNode) {
+        index = static_cast<uint32_t>(meg.entity_candidates.size());
+        meg.entity_candidates.push_back(&(*entry.candidates)[entry.first + c]);
         meg.entity_sources.emplace_back();
+        slot_of_node.push_back(slot);
       }
       meg.entity_sources[index].emplace_back(m, c);
       meg.mention_candidate_nodes[m].push_back(meg.EntityNodeId(index));
@@ -89,7 +142,7 @@ MentionEntityGraph BuildMentionEntityGraph(
   double me_max = 0.0;
   for (uint32_t m = 0; m < input.mentions.size(); ++m) {
     const auto& entry = input.mentions[m];
-    for (uint32_t c = 0; c < entry.candidates->size(); ++c) {
+    for (uint32_t c = 0; c < entry.me_weights.size(); ++c) {
       double w = std::max(0.0, entry.me_weights[c]);
       me_edges.push_back({m, meg.mention_candidate_nodes[m][c], w});
       me_max = std::max(me_max, w);
@@ -117,7 +170,7 @@ MentionEntityGraph BuildMentionEntityGraph(
 
   // Entity nodes are deduplicated above, so every (i, j) occurs at most
   // once: each qualifying pair is evaluated exactly once per document, in
-  // enumeration order, and its edge folded in right away. Relatedness
+  // ascending (i, j) order, and its edge folded in right away. Relatedness
   // dominates the build, so the cancellation token is polled every
   // kCancelStride qualifying pairs, not only between phases; a tripped
   // token abandons the build and marks the graph aborted.
@@ -145,16 +198,9 @@ MentionEntityGraph BuildMentionEntityGraph(
     ee_edges.push_back({meg.EntityNodeId(i), meg.EntityNodeId(j), rel});
     ee_max = std::max(ee_max, rel);
   };
-  if (relatedness.has_pair_filter()) {
-    std::vector<const Candidate*>& all = scratch.all_candidates;
-    all.assign(meg.entity_candidates.begin(), meg.entity_candidates.end());
-    for (const auto& [i, j] : relatedness.FilterPairs(all)) {
-      if (meg.aborted) break;
-      add_pair(i, j);
-    }
-  } else {
-    for (size_t i = 0; i < ec && !meg.aborted; ++i) {
-      for (size_t j = i + 1; j < ec && !meg.aborted; ++j) add_pair(i, j);
+  for (size_t i = 0; i < ec && !meg.aborted; ++i) {
+    for (size_t j = i + 1; j < ec && !meg.aborted; ++j) {
+      if (entities.Kept(slot_of_node[i], slot_of_node[j])) add_pair(i, j);
     }
   }
   if (meg.aborted) return meg;  // partial; the caller discards it

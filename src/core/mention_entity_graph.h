@@ -4,6 +4,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -14,14 +15,73 @@
 
 namespace aida::core {
 
+/// The candidate entities of one document, shared by the graph build and
+/// Aida's final re-scoring so that both read one coherence model. Each
+/// distinct in-KB entity gets one slot and each placeholder candidate a
+/// private one, numbered by first occurrence. Under a measure with a pair
+/// filter, the table also records which slot pairs the filter keeps;
+/// pairs it does not keep are unrelated (Section 4.4.2). Reusable: a warm
+/// Build allocates only what FilterPairs returns.
+class DocumentEntityTable {
+ public:
+  /// Rebuilds the table over one document's candidate lists, one list per
+  /// mention (none null). Under a measure with a pair filter, calls
+  /// FilterPairs exactly once, over the first candidate of every slot.
+  void Build(std::span<const std::vector<Candidate>* const> mentions,
+             const RelatednessMeasure& relatedness);
+
+  /// The slots of mention `m`'s candidates, parallel to its list.
+  std::span<const uint32_t> Slots(size_t m) const {
+    return {slots_.data() + offsets_[m], offsets_[m + 1] - offsets_[m]};
+  }
+
+  size_t mention_count() const {
+    return offsets_.empty() ? 0 : offsets_.size() - 1;
+  }
+  size_t size() const { return entities_.size(); }
+
+  /// Whether the relatedness of slots `a` and `b` is worth computing:
+  /// always without a pair filter and for one slot (two candidates of the
+  /// same in-KB entity), otherwise as FilterPairs decided.
+  bool Kept(uint32_t a, uint32_t b) const {
+    return !filtered_ || a == b ||
+           ((kept_[a * row_words_ + b / 64] >> (b % 64)) & 1) != 0;
+  }
+
+ private:
+  static constexpr uint32_t kNoSlot = 0xFFFFFFFFu;
+
+  uint32_t SlotOf(const Candidate& cand);
+
+  // Per mention, where its slots start in `slots_`; one extra at the end.
+  std::vector<size_t> offsets_;
+  std::vector<uint32_t> slots_;
+  // Per slot: its first candidate (not owned).
+  std::vector<const Candidate*> entities_;
+  // Open addressing from in-KB entity id to slot; kNoSlot marks a free
+  // cell.
+  std::vector<std::pair<kb::EntityId, uint32_t>> index_;
+  int index_shift_ = 0;
+  bool filtered_ = false;
+  // Kept-pair bitmap, one row of `row_words_` words per slot, set in both
+  // rows of a pair.
+  size_t row_words_ = 0;
+  std::vector<uint64_t> kept_;
+};
+
 /// Input to graph construction: one entry per mention with its candidates
 /// and the pre-combined mention-entity weights (prior/similarity blend
 /// after the robustness tests).
 struct GraphBuildInput {
   struct MentionEntry {
-    /// Not owned.
+    /// The mention's whole candidate list, as the document's
+    /// DocumentEntityTable saw it. Not owned.
     const std::vector<Candidate>* candidates = nullptr;
-    /// Parallel to `candidates`, in [0, 1].
+    /// The graph's candidates are (*candidates)[first, first +
+    /// me_weights.size()): the whole list, or the one candidate the
+    /// coherence test fixed.
+    size_t first = 0;
+    /// One per graph candidate, in [0, 1].
     std::vector<double> me_weights;
   };
   std::vector<MentionEntry> mentions;
@@ -32,9 +92,11 @@ struct GraphBuildInput {
 };
 
 /// The combined graph of Section 3.4.1. Node layout: nodes
-/// [0, num_mentions) are mention nodes; the rest are entity nodes. An
-/// entity appearing in several mentions' candidate lists becomes a single
-/// node; placeholder candidates are always mention-private nodes.
+/// [0, num_mentions) are mention nodes; the rest are entity nodes, one per
+/// entity-table slot among the graph's candidates, numbered by first
+/// occurrence. An entity appearing in several mentions' candidate lists
+/// thus becomes a single node; placeholder candidates are always
+/// mention-private nodes.
 struct MentionEntityGraph {
   std::unique_ptr<graph::WeightedGraph> graph;
   size_t num_mentions = 0;
@@ -76,16 +138,19 @@ struct GraphBuildContext {
 
 /// Builds the weighted mention-entity graph: mention-entity edges carry
 /// the blended local weights, entity-entity edges carry `relatedness`
-/// (restricted to the measure's pair filter when it has one, and to entity
-/// pairs serving at least two distinct mentions). Both edge families are
-/// normalized to [0,1], rescaled so their averages match (Section 3.4.1),
-/// then split by me_scale / ee_scale.
+/// (restricted to the pairs `entities` keeps, and to entity pairs serving
+/// at least two distinct mentions). Both edge families are normalized to
+/// [0,1], rescaled so their averages match (Section 3.4.1), then split by
+/// me_scale / ee_scale.
 ///
-/// Entity nodes are deduplicated, so each qualifying pair is evaluated
-/// exactly once per document, in enumeration order, and its edge is
-/// folded in as soon as its value is known.
+/// `entities` is the document's table, built with the same measure over
+/// the input's candidate lists in mention order; the build makes no
+/// FilterPairs call of its own. Entity nodes are deduplicated, so each
+/// qualifying pair is evaluated exactly once per document, in ascending
+/// node order, and its edge is folded in as soon as its value is known.
 MentionEntityGraph BuildMentionEntityGraph(
-    const GraphBuildInput& input, const RelatednessMeasure& relatedness,
+    const GraphBuildInput& input, const DocumentEntityTable& entities,
+    const RelatednessMeasure& relatedness,
     const GraphBuildContext& context = {});
 
 }  // namespace aida::core

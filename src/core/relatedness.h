@@ -53,8 +53,14 @@ class RelatednessMeasure {
   /// True if the measure pre-filters candidate pairs (LSH variants).
   virtual bool has_pair_filter() const { return false; }
 
-  /// Returns index pairs (into `candidates`) worth computing; pairs not
-  /// returned are assumed unrelated. Only called when has_pair_filter().
+  /// Returns index pairs (into `candidates`) worth computing, sorted
+  /// ascending and unique, each with first < second; pairs not returned
+  /// are unrelated. Only called when has_pair_filter(). Whether a pair is
+  /// kept must depend only on its two candidates, not on the rest of
+  /// `candidates`, so that one call over a document's distinct entities
+  /// (DocumentEntityTable) serves both the graph build and the final
+  /// re-scoring. Callers pass each in-KB entity once and treat two
+  /// candidates of the same in-KB entity as kept.
   virtual std::vector<std::pair<uint32_t, uint32_t>> FilterPairs(
       const std::vector<const Candidate*>& candidates) const {
     (void)candidates;

@@ -296,14 +296,18 @@ TEST_F(CoreTest, GraphBuilderDedupsEntities) {
   c.model = models_.ModelFor(0);
   cands.push_back(c);
 
+  MilneWittenRelatedness mw(world_.knowledge_base.get());
+  DocumentEntityTable entities;
+  const std::vector<const std::vector<Candidate>*> lists = {&cands, &cands};
+  entities.Build(lists, mw);
+  EXPECT_EQ(entities.size(), 1u);
   GraphBuildInput input;
   input.mentions.resize(2);
   input.mentions[0].candidates = &cands;
   input.mentions[0].me_weights = {0.5};
   input.mentions[1].candidates = &cands;
   input.mentions[1].me_weights = {0.7};
-  MilneWittenRelatedness mw(world_.knowledge_base.get());
-  MentionEntityGraph meg = BuildMentionEntityGraph(input, mw);
+  MentionEntityGraph meg = BuildMentionEntityGraph(input, entities, mw);
   EXPECT_EQ(meg.entity_node_count(), 1u);
   EXPECT_EQ(meg.graph->node_count(), 3u);
   EXPECT_EQ(meg.entity_sources[0].size(), 2u);
@@ -345,6 +349,10 @@ TEST_F(CoreTest, SolverPicksCoherentAssignment) {
   m1[0].entity = 102;
   m1[0].model = dummy;
 
+  StubRelatedness stub;
+  DocumentEntityTable entities;
+  const std::vector<const std::vector<Candidate>*> lists = {&m0, &m1};
+  entities.Build(lists, stub);
   GraphBuildInput input;
   input.mentions.resize(2);
   input.mentions[0].candidates = &m0;
@@ -352,8 +360,7 @@ TEST_F(CoreTest, SolverPicksCoherentAssignment) {
   input.mentions[1].candidates = &m1;
   input.mentions[1].me_weights = {0.9};
 
-  StubRelatedness stub;
-  MentionEntityGraph meg = BuildMentionEntityGraph(input, stub);
+  MentionEntityGraph meg = BuildMentionEntityGraph(input, entities, stub);
   GraphSolution sol = SolveMentionEntityGraph(meg, GraphDisambiguatorOptions());
   ASSERT_EQ(sol.chosen_candidate.size(), 2u);
   EXPECT_EQ(sol.chosen_candidate[0], 0);  // coherent candidate wins

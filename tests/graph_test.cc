@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstdint>
 #include <functional>
+#include <initializer_list>
 #include <limits>
 #include <memory>
 #include <string>
@@ -22,6 +23,8 @@
 #include "graph/dense_subgraph.h"
 #include "graph/shortest_paths.h"
 #include "graph/weighted_graph.h"
+#include "kore/kore_lsh.h"
+#include "kore/kore_relatedness.h"
 #include "synth/presets.h"
 #include "test_world.h"
 #include "util/cancellation.h"
@@ -541,6 +544,20 @@ RandomInstance MakeRandomInstance(uint64_t seed) {
   return instance;
 }
 
+// Builds `input`'s graph as Aida does: over one entity table of the
+// mentions' whole candidate lists.
+MentionEntityGraph BuildGraph(const GraphBuildInput& input,
+                              const RelatednessMeasure& relatedness,
+                              const GraphBuildContext& context = {}) {
+  std::vector<const std::vector<Candidate>*> lists;
+  for (const GraphBuildInput::MentionEntry& entry : input.mentions) {
+    lists.push_back(entry.candidates);
+  }
+  DocumentEntityTable entities;
+  entities.Build(lists, relatedness);
+  return BuildMentionEntityGraph(input, entities, relatedness, context);
+}
+
 bool HasSharedEntity(const MentionEntityGraph& meg) {
   for (const auto& sources : meg.entity_sources) {
     for (const auto& [m, c] : sources) {
@@ -579,7 +596,7 @@ TEST(SolverOracleTest, MatchesOracleOnRandomGraphs) {
     SCOPED_TRACE("seed " + std::to_string(seed));
     RandomInstance instance = MakeRandomInstance(seed);
     StubRelatedness stub(seed);
-    MentionEntityGraph meg = BuildMentionEntityGraph(instance.input, stub);
+    MentionEntityGraph meg = BuildGraph(instance.input, stub);
     OracleTrace trace;
     const GraphSolution want = OracleSolve(meg, instance.options, {}, &trace);
     const GraphSolution got = SolveMentionEntityGraph(meg, instance.options);
@@ -604,40 +621,66 @@ TEST(SolverOracleTest, MatchesOracleOnRandomGraphs) {
   EXPECT_GE(zero_weights, 100u);
 }
 
-// The graph Aida builds for a document before the coherence test fixes
-// any mention: dictionary candidates, and mention-entity weights blending
-// prior and keyphrase similarity with Aida's default mix.
-MentionEntityGraph BuildDocumentGraph(
-    const corpus::Document& doc, const CandidateModelStore& models,
-    const RelatednessMeasure& relatedness,
-    std::vector<std::vector<Candidate>>* candidates) {
+// A document's graph input as Aida builds it before the coherence test
+// fixes any mention: dictionary candidates, and mention-entity weights
+// blending prior and keyphrase similarity with Aida's default mix. With
+// `vary`, every fourth mention also gets a placeholder candidate (its
+// first candidate's keyphrase model at half weight, or an entity's model
+// when the dictionary has none), and every third mention keeps one
+// candidate in the graph, as a mention the coherence test fixed: the
+// graph then sees part of the lists its entity table covers.
+struct DocumentInstance {
+  std::vector<std::vector<Candidate>> candidates;
+  GraphBuildInput input;
+};
+
+DocumentInstance MakeDocumentInstance(const corpus::Document& doc,
+                                      const CandidateModelStore& models,
+                                      bool vary = false) {
   const AidaOptions defaults;
   ExtendedVocabulary vocab(&models.knowledge_base().keyphrases());
   DocumentContext context(doc.tokens, vocab);
   ContextSimilarity similarity;
-  GraphBuildInput input;
-  candidates->assign(doc.mentions.size(), {});
+  DocumentInstance instance;
+  GraphBuildInput& input = instance.input;
+  instance.candidates.assign(doc.mentions.size(), {});
   input.mentions.resize(doc.mentions.size());
   for (size_t m = 0; m < doc.mentions.size(); ++m) {
     const corpus::GoldMention& mention = doc.mentions[m];
-    std::vector<Candidate>& cands = (*candidates)[m];
+    std::vector<Candidate>& cands = instance.candidates[m];
     cands = LookupCandidates(models, mention.surface);
+    if (vary && m % 4 == 1) {
+      auto model = std::make_shared<CandidateModel>(
+          *(cands.empty() ? models.ModelFor(static_cast<kb::EntityId>(m))
+                          : cands.front().model));
+      model->entity = kb::kNoEntity;
+      Candidate placeholder;
+      placeholder.model = std::move(model);
+      placeholder.is_placeholder = true;
+      placeholder.weight_scale = 0.5;
+      cands.push_back(std::move(placeholder));
+    }
     std::vector<double> sims;
     for (const Candidate& cand : cands) {
-      sims.push_back(similarity.Score(context, mention.begin_token,
+      sims.push_back(cand.weight_scale *
+                     similarity.Score(context, mention.begin_token,
                                       mention.end_token, *cand.model));
     }
     const std::vector<double> sim_dist = robustness::ToDistribution(sims);
-    input.mentions[m].candidates = &cands;
+    GraphBuildInput::MentionEntry& entry = input.mentions[m];
+    entry.candidates = &cands;
     for (size_t c = 0; c < cands.size(); ++c) {
-      input.mentions[m].me_weights.push_back(
-          defaults.prior_weight * cands[c].prior +
-          defaults.sim_weight * sim_dist[c]);
+      entry.me_weights.push_back(defaults.prior_weight * cands[c].prior +
+                                 defaults.sim_weight * sim_dist[c]);
+    }
+    if (vary && m % 3 == 0 && !cands.empty()) {
+      entry.first = m % cands.size();
+      entry.me_weights = {entry.me_weights[entry.first]};
     }
   }
   input.me_scale = defaults.me_scale;
   input.ee_scale = defaults.ee_scale;
-  return BuildMentionEntityGraph(input, relatedness);
+  return instance;
 }
 
 TEST(SolverOracleTest, MatchesOracleOnTestWorldDocuments) {
@@ -674,9 +717,9 @@ TEST(SolverOracleTest, MatchesOracleOnTestWorldDocuments) {
     for (size_t d = 0; d < docs.size(); ++d) {
       SCOPED_TRACE(std::string(shape.name) + " document " +
                    std::to_string(d));
-      std::vector<std::vector<Candidate>> candidates;
+      DocumentInstance instance = MakeDocumentInstance(docs[d], models);
       const MentionEntityGraph meg =
-          BuildDocumentGraph(docs[d], models, mw, &candidates);
+          BuildGraph(instance.input, mw);
       OracleTrace trace;
       ExpectSameSolution(SolveMentionEntityGraph(meg, {}),
                          OracleSolve(meg, {}, {}, &trace));
@@ -698,7 +741,7 @@ TEST(SolverOracleTest, PreTrippedTokenAbortsBothPaths) {
     SCOPED_TRACE("seed " + std::to_string(seed));
     RandomInstance instance = MakeRandomInstance(seed);
     StubRelatedness stub(seed);
-    MentionEntityGraph meg = BuildMentionEntityGraph(instance.input, stub);
+    MentionEntityGraph meg = BuildGraph(instance.input, stub);
     if (meg.entity_node_count() == 0) continue;
     OracleTrace trace;
     OracleSolve(meg, instance.options, {}, &trace);
@@ -716,6 +759,353 @@ TEST(SolverOracleTest, PreTrippedTokenAbortsBothPaths) {
   }
   EXPECT_GT(exhaustive, 0u);
   EXPECT_GT(local_search, 0u);
+}
+
+
+// ---- The graph build against the one it replaced ----------------------------
+
+// BuildMentionEntityGraph as it read before the document entity table: its
+// own entity-id map numbered the nodes, and its own FilterPairs call over
+// the graph's entity nodes chose the pairs. The reference the table-driven
+// build must reproduce: the same nodes, neighbour order and weight bits.
+MentionEntityGraph OracleBuild(const GraphBuildInput& input,
+                               const RelatednessMeasure& relatedness,
+                               const GraphBuildContext& context = {}) {
+  struct PendingEdge {
+    graph::NodeId u = 0;
+    graph::NodeId v = 0;
+    double weight = 0.0;
+  };
+  MentionEntityGraph meg;
+  meg.num_mentions = input.mentions.size();
+
+  std::unordered_map<kb::EntityId, size_t> entity_index;
+  meg.mention_candidate_nodes.resize(meg.num_mentions);
+  for (uint32_t m = 0; m < input.mentions.size(); ++m) {
+    const auto& entry = input.mentions[m];
+    for (uint32_t c = 0; c < entry.me_weights.size(); ++c) {
+      const Candidate& cand = (*entry.candidates)[entry.first + c];
+      size_t index;
+      if (!cand.is_placeholder) {
+        auto [it, inserted] =
+            entity_index.emplace(cand.entity, meg.entity_candidates.size());
+        index = it->second;
+        if (inserted) {
+          meg.entity_candidates.push_back(&cand);
+          meg.entity_sources.emplace_back();
+        }
+      } else {
+        index = meg.entity_candidates.size();
+        meg.entity_candidates.push_back(&cand);
+        meg.entity_sources.emplace_back();
+      }
+      meg.entity_sources[index].emplace_back(m, c);
+      meg.mention_candidate_nodes[m].push_back(meg.EntityNodeId(index));
+    }
+  }
+
+  const size_t total_nodes = meg.num_mentions + meg.entity_candidates.size();
+
+  std::vector<PendingEdge> me_edges;
+  double me_max = 0.0;
+  for (uint32_t m = 0; m < input.mentions.size(); ++m) {
+    const auto& entry = input.mentions[m];
+    for (uint32_t c = 0; c < entry.me_weights.size(); ++c) {
+      double w = std::max(0.0, entry.me_weights[c]);
+      me_edges.push_back({m, meg.mention_candidate_nodes[m][c], w});
+      me_max = std::max(me_max, w);
+    }
+  }
+
+  auto serves_two_mentions = [&](size_t i, size_t j) {
+    for (const auto& [mi, ci] : meg.entity_sources[i]) {
+      for (const auto& [mj, cj] : meg.entity_sources[j]) {
+        if (mi != mj) return true;
+      }
+    }
+    return false;
+  };
+
+  std::vector<PendingEdge> ee_edges;
+  double ee_max = 0.0;
+  const size_t ec = meg.entity_candidates.size();
+  constexpr size_t kCancelStride = 32;
+  const util::CancellationToken* cancel = context.cancel;
+  size_t evaluated = 0;
+  auto add_pair = [&](size_t i, size_t j) {
+    if (!serves_two_mentions(i, j)) return;
+    if (evaluated++ % kCancelStride == 0 && cancel != nullptr &&
+        cancel->cancelled()) {
+      meg.aborted = true;
+      return;
+    }
+    bool cache_hit = false;
+    double rel = relatedness.RelatednessTracked(
+        *meg.entity_candidates[i], *meg.entity_candidates[j], &cache_hit);
+    rel *= meg.entity_candidates[i]->weight_scale *
+           meg.entity_candidates[j]->weight_scale;
+    if (cache_hit) {
+      ++meg.relatedness_cache_hits;
+    } else {
+      ++meg.relatedness_computations;
+    }
+    if (rel <= 0.0) return;
+    ee_edges.push_back({meg.EntityNodeId(i), meg.EntityNodeId(j), rel});
+    ee_max = std::max(ee_max, rel);
+  };
+  if (relatedness.has_pair_filter()) {
+    std::vector<const Candidate*> all(meg.entity_candidates.begin(),
+                                      meg.entity_candidates.end());
+    for (const auto& [i, j] : relatedness.FilterPairs(all)) {
+      if (meg.aborted) break;
+      add_pair(i, j);
+    }
+  } else {
+    for (size_t i = 0; i < ec && !meg.aborted; ++i) {
+      for (size_t j = i + 1; j < ec && !meg.aborted; ++j) add_pair(i, j);
+    }
+  }
+  if (meg.aborted) return meg;
+
+  if (me_max > 0.0) {
+    for (PendingEdge& e : me_edges) e.weight /= me_max;
+  }
+  if (ee_max > 0.0) {
+    for (PendingEdge& e : ee_edges) e.weight /= ee_max;
+  }
+  double me_avg = 0.0;
+  for (const PendingEdge& e : me_edges) me_avg += e.weight;
+  if (!me_edges.empty()) me_avg /= static_cast<double>(me_edges.size());
+  double ee_avg = 0.0;
+  for (const PendingEdge& e : ee_edges) ee_avg += e.weight;
+  if (!ee_edges.empty()) ee_avg /= static_cast<double>(ee_edges.size());
+  double balance = (ee_avg > 0.0 && me_avg > 0.0) ? me_avg / ee_avg : 1.0;
+
+  meg.graph = std::make_unique<graph::WeightedGraph>(total_nodes);
+  for (const PendingEdge& e : me_edges) {
+    meg.graph->AddEdge(e.u, e.v, e.weight * input.me_scale);
+  }
+  for (const PendingEdge& e : ee_edges) {
+    meg.graph->AddEdge(e.u, e.v, e.weight * balance * input.ee_scale);
+  }
+  return meg;
+}
+
+void ExpectSameGraph(const MentionEntityGraph& got,
+                     const MentionEntityGraph& want) {
+  ASSERT_EQ(got.num_mentions, want.num_mentions);
+  EXPECT_EQ(got.entity_candidates, want.entity_candidates);
+  EXPECT_EQ(got.entity_sources, want.entity_sources);
+  EXPECT_EQ(got.mention_candidate_nodes, want.mention_candidate_nodes);
+  EXPECT_EQ(got.relatedness_computations, want.relatedness_computations);
+  EXPECT_EQ(got.relatedness_cache_hits, want.relatedness_cache_hits);
+  EXPECT_EQ(got.aborted, want.aborted);
+  ASSERT_EQ(got.graph == nullptr, want.graph == nullptr);
+  if (got.graph == nullptr) return;
+  ASSERT_EQ(got.graph->node_count(), want.graph->node_count());
+  for (graph::NodeId u = 0; u < got.graph->node_count(); ++u) {
+    const std::vector<graph::Edge>& g = got.graph->Neighbors(u);
+    const std::vector<graph::Edge>& w = want.graph->Neighbors(u);
+    ASSERT_EQ(g.size(), w.size()) << "node " << u;
+    for (size_t k = 0; k < g.size(); ++k) {
+      EXPECT_EQ(g[k].to, w[k].to) << "node " << u << " edge " << k;
+      EXPECT_EQ(Bits(g[k].weight), Bits(w[k].weight))
+          << "node " << u << " edge " << k;
+    }
+  }
+}
+
+// The stub measure behind a seeded pair filter that keeps about half the
+// entity pairs and every pair with a placeholder, sorted and unique as
+// FilterPairs returns them.
+class FilteredStubRelatedness final : public RelatednessMeasure {
+ public:
+  explicit FilteredStubRelatedness(uint64_t seed) : stub_(seed), seed_(seed) {}
+  std::string name() const override { return "filtered-stub"; }
+  double Relatedness(const Candidate& a, const Candidate& b) const override {
+    return stub_.Relatedness(a, b);
+  }
+  bool has_pair_filter() const override { return true; }
+  std::vector<std::pair<uint32_t, uint32_t>> FilterPairs(
+      const std::vector<const Candidate*>& candidates) const override {
+    std::vector<std::pair<uint32_t, uint32_t>> kept;
+    for (uint32_t i = 0; i < candidates.size(); ++i) {
+      for (uint32_t j = i + 1; j < candidates.size(); ++j) {
+        const Candidate& a = *candidates[i];
+        const Candidate& b = *candidates[j];
+        const uint64_t lo = std::min(a.entity, b.entity);
+        const uint64_t hi = std::max(a.entity, b.entity);
+        if (a.is_placeholder || b.is_placeholder ||
+            Mix(~seed_ ^ Mix((lo << 32) | hi)) % 2 == 0) {
+          kept.emplace_back(i, j);
+        }
+      }
+    }
+    return kept;
+  }
+
+ private:
+  StubRelatedness stub_;
+  uint64_t seed_;
+};
+
+size_t EntityEdgeCount(const MentionEntityGraph& meg) {
+  size_t edges = 0;
+  for (graph::NodeId u = meg.num_mentions; u < meg.graph->node_count(); ++u) {
+    for (const graph::Edge& e : meg.graph->Neighbors(u)) {
+      edges += e.to >= meg.num_mentions;
+    }
+  }
+  return edges / 2;
+}
+
+TEST(GraphBuildOracleTest, MatchesOracleOnRandomInstances) {
+  size_t shared = 0;
+  size_t placeholders = 0;
+  size_t filtered_edges = 0;
+  size_t edges = 0;
+  for (uint64_t seed = 1; seed <= 400; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    RandomInstance instance = MakeRandomInstance(seed);
+    const StubRelatedness stub(seed);
+    const FilteredStubRelatedness filtered(seed);
+    for (const RelatednessMeasure* measure :
+         std::initializer_list<const RelatednessMeasure*>{&stub,
+                                                          &filtered}) {
+      SCOPED_TRACE(measure->name());
+      const MentionEntityGraph got =
+          BuildGraph(instance.input, *measure);
+      const MentionEntityGraph want = OracleBuild(instance.input, *measure);
+      ExpectSameGraph(got, want);
+      (measure == &stub ? edges : filtered_edges) += EntityEdgeCount(got);
+    }
+    shared += HasSharedEntity(OracleBuild(instance.input, stub));
+    for (const std::vector<Candidate>& cands : instance.candidates) {
+      for (const Candidate& cand : cands) placeholders += cand.is_placeholder;
+    }
+  }
+  EXPECT_GE(shared, 100u);
+  EXPECT_GE(placeholders, 100u);
+  // The filter drops edges, but not all of them.
+  EXPECT_GT(filtered_edges, 0u);
+  EXPECT_LT(filtered_edges, edges);
+}
+
+// Test-world documents, CoNLL-like and heavy-shaped, with placeholders and
+// fixed mentions, under every measure of Table 4.4.
+TEST(GraphBuildOracleTest, MatchesOracleOnTestWorldDocuments) {
+  const synth::World& world = TestWorld::Get().world;
+  CandidateModelStore models(world.knowledge_base.get());
+  const kb::KeyphraseStore& store = world.knowledge_base->keyphrases();
+  const MilneWittenRelatedness mw(world.knowledge_base.get());
+  const kore::KoreRelatedness kore;
+  const kore::KoreLshRelatedness lsh_g = kore::KoreLshRelatedness::Good(&store);
+  const kore::KoreLshRelatedness lsh_f = kore::KoreLshRelatedness::Fast(&store);
+  const synth::CorpusConfig conll = synth::ConllPreset().corpus;
+  struct Shape {
+    const char* name;
+    size_t documents;
+    size_t doc_tokens;
+    size_t entities_per_doc;
+  };
+  const Shape shapes[] = {
+      {"conll", 30, conll.doc_tokens, conll.entities_per_doc},
+      {"heavy", 10, 500, 35}};
+  for (const Shape& shape : shapes) {
+    synth::CorpusConfig config = conll;
+    config.seed = 992;
+    config.num_documents = shape.documents;
+    config.doc_tokens = shape.doc_tokens;
+    config.entities_per_doc = shape.entities_per_doc;
+    config.mention_repeat = 1.5;
+    const corpus::Corpus docs =
+        synth::CorpusGenerator(&world, config).Generate();
+    for (const RelatednessMeasure* measure :
+         std::initializer_list<const RelatednessMeasure*>{&mw, &kore, &lsh_g,
+                                                          &lsh_f}) {
+      size_t edges = 0;
+      for (size_t d = 0; d < docs.size(); ++d) {
+        for (const bool vary : {false, true}) {
+          SCOPED_TRACE(std::string(shape.name) + " document " +
+                       std::to_string(d) + " " + measure->name() +
+                       (vary ? " varied" : ""));
+          DocumentInstance instance =
+              MakeDocumentInstance(docs[d], models, vary);
+          const MentionEntityGraph got =
+              BuildGraph(instance.input, *measure);
+          ExpectSameGraph(got, OracleBuild(instance.input, *measure));
+          edges += EntityEdgeCount(got);
+        }
+      }
+      EXPECT_GT(edges, 0u) << shape.name << " " << measure->name();
+    }
+  }
+}
+
+// Trips a token on its `limit`-th evaluation, so that a build stops at its
+// next cancellation poll.
+class TrippingRelatedness final : public RelatednessMeasure {
+ public:
+  TrippingRelatedness(const RelatednessMeasure* inner,
+                      const util::CancellationToken* token, uint64_t limit)
+      : inner_(inner), token_(token), limit_(limit) {}
+  std::string name() const override { return inner_->name(); }
+  double Relatedness(const Candidate& a, const Candidate& b) const override {
+    if (++calls_ == limit_) token_->Cancel();
+    return inner_->Relatedness(a, b);
+  }
+  bool has_pair_filter() const override { return inner_->has_pair_filter(); }
+  std::vector<std::pair<uint32_t, uint32_t>> FilterPairs(
+      const std::vector<const Candidate*>& candidates) const override {
+    return inner_->FilterPairs(candidates);
+  }
+
+ private:
+  const RelatednessMeasure* inner_;
+  const util::CancellationToken* token_;
+  uint64_t limit_;
+  mutable uint64_t calls_ = 0;
+};
+
+// The cancellation poll counts only the kept pairs that serve two
+// mentions, so a build stops after exactly as many evaluations as before.
+TEST(GraphBuildOracleTest, CancelPollsTheSamePairs) {
+  const synth::World& world = TestWorld::Get().world;
+  CandidateModelStore models(world.knowledge_base.get());
+  const kb::KeyphraseStore& store = world.knowledge_base->keyphrases();
+  const MilneWittenRelatedness mw(world.knowledge_base.get());
+  const kore::KoreLshRelatedness lsh_g = kore::KoreLshRelatedness::Good(&store);
+  synth::CorpusConfig config = synth::ConllPreset().corpus;
+  config.seed = 993;
+  config.num_documents = 4;
+  config.doc_tokens = 500;
+  config.entities_per_doc = 35;
+  config.mention_repeat = 1.5;
+  const corpus::Corpus docs = synth::CorpusGenerator(&world, config).Generate();
+  size_t aborted = 0;
+  for (const RelatednessMeasure* measure :
+       std::initializer_list<const RelatednessMeasure*>{&mw, &lsh_g}) {
+    for (size_t d = 0; d < docs.size(); ++d) {
+      for (const uint64_t limit : {1, 31, 32, 33, 64, 65, 200}) {
+        SCOPED_TRACE(measure->name() + " document " + std::to_string(d) +
+                     " limit " + std::to_string(limit));
+        DocumentInstance instance = MakeDocumentInstance(docs[d], models, true);
+        util::CancellationToken got_token;
+        const TrippingRelatedness got_measure(measure, &got_token, limit);
+        const MentionEntityGraph got =
+            BuildGraph(instance.input, got_measure,
+                       GraphBuildContext{.cancel = &got_token});
+        util::CancellationToken want_token;
+        const TrippingRelatedness want_measure(measure, &want_token, limit);
+        const MentionEntityGraph want =
+            OracleBuild(instance.input, want_measure,
+                        GraphBuildContext{.cancel = &want_token});
+        ExpectSameGraph(got, want);
+        aborted += got.aborted;
+      }
+    }
+  }
+  EXPECT_GE(aborted, 20u);
 }
 
 }  // namespace

@@ -1,16 +1,21 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <memory>
 #include <set>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
+#include "core/aida.h"
 #include "core/candidates.h"
 #include "kore/keyterm_cosine.h"
 #include "kore/kore_lsh.h"
 #include "kore/kore_relatedness.h"
+#include "synth/presets.h"
 #include "test_world.h"
 #include "util/alloc_probe.h"
 
@@ -405,6 +410,145 @@ TEST_F(KoreTest, LshAdmitsPlaceholderPairs) {
   auto pairs = good.FilterPairs(ptrs);
   ASSERT_EQ(pairs.size(), 1u);
   EXPECT_EQ(pairs[0], (std::pair<uint32_t, uint32_t>(0, 1)));
+}
+
+
+// KORE-LSH seen as a measure without a pair filter: exact KORE for the
+// pairs the LSH filter keeps and for two candidates of one in-KB entity,
+// 0.0 for every other pair. Aida over the LSH measure must score exactly as
+// Aida over this one: the re-scoring skips what the filter drops.
+class KeptPairsOnly final : public core::RelatednessMeasure {
+ public:
+  explicit KeptPairsOnly(const KoreLshRelatedness* lsh) : lsh_(lsh) {}
+  std::string name() const override { return "kept-pairs-only"; }
+  double Relatedness(const core::Candidate& a,
+                     const core::Candidate& b) const override {
+    const bool same_entity =
+        !a.is_placeholder && !b.is_placeholder && a.entity == b.entity;
+    if (!same_entity && lsh_->FilterPairs({&a, &b}).empty()) return 0.0;
+    return lsh_->Relatedness(a, b);
+  }
+
+ private:
+  const KoreLshRelatedness* lsh_;
+};
+
+uint64_t Bits(double value) { return std::bit_cast<uint64_t>(value); }
+
+TEST_F(KoreTest, LshRescoringMatchesKeptPairsOracle) {
+  const kb::KeyphraseStore& store = world_.knowledge_base->keyphrases();
+  const KoreLshRelatedness good = KoreLshRelatedness::Good(&store);
+  const KoreLshRelatedness fast = KoreLshRelatedness::Fast(&store);
+
+  // The CoNLL-like test documents, and heavy-shaped ones whose names
+  // repeat across mentions.
+  std::vector<const corpus::Document*> docs;
+  for (const corpus::Document& doc : TestWorld::Get().corpus) {
+    docs.push_back(&doc);
+  }
+  synth::CorpusConfig heavy = synth::ConllPreset().corpus;
+  heavy.seed = 994;
+  heavy.num_documents = 6;
+  heavy.doc_tokens = 500;
+  heavy.entities_per_doc = 35;
+  heavy.mention_repeat = 1.5;
+  const corpus::Corpus heavy_docs =
+      synth::CorpusGenerator(&world_, heavy).Generate();
+  for (const corpus::Document& doc : heavy_docs) docs.push_back(&doc);
+
+  // Each document twice: with dictionary lookups, and with every third
+  // mention's list resolved by the caller and carrying a placeholder (its
+  // first candidate's keyphrase model at half weight). Every other such
+  // placeholder leads its list, so a mention the coherence test fixes
+  // keeps a candidate other than its first.
+  auto make_problem = [&](const corpus::Document& doc, bool placeholders) {
+    core::DisambiguationProblem problem;
+    problem.tokens = &doc.tokens;
+    for (size_t m = 0; m < doc.mentions.size(); ++m) {
+      const corpus::GoldMention& gm = doc.mentions[m];
+      core::ProblemMention pm;
+      pm.surface = gm.surface;
+      pm.begin_token = gm.begin_token;
+      pm.end_token = gm.end_token;
+      if (placeholders && m % 3 == 0) {
+        pm.candidates = core::LookupCandidates(models_, gm.surface);
+        auto model = std::make_shared<core::CandidateModel>(
+            pm.candidates.empty() ? *models_.ModelFor(0)
+                                  : *pm.candidates.front().model);
+        model->entity = kb::kNoEntity;
+        core::Candidate placeholder;
+        placeholder.model = std::move(model);
+        placeholder.is_placeholder = true;
+        placeholder.weight_scale = 0.5;
+        pm.candidates.insert(m % 2 == 0 ? pm.candidates.begin()
+                                        : pm.candidates.end(),
+                             std::move(placeholder));
+        pm.candidates_resolved = true;
+      }
+      problem.mentions.push_back(std::move(pm));
+    }
+    return problem;
+  };
+
+  size_t placeholder_mentions = 0;
+  size_t repeated_entities = 0;
+  for (const KoreLshRelatedness* lsh : {&good, &fast}) {
+    const KeptPairsOnly oracle(lsh);
+    const core::Aida filtered(&models_, lsh, core::AidaOptions());
+    const core::Aida unfiltered(&models_, &oracle, core::AidaOptions());
+    uint64_t filtered_lookups = 0;
+    uint64_t unfiltered_lookups = 0;
+    for (size_t d = 0; d < docs.size(); ++d) {
+      for (const bool placeholders : {false, true}) {
+        SCOPED_TRACE(lsh->name() + " document " + std::to_string(d) +
+                     (placeholders ? " with placeholders" : ""));
+        const core::DisambiguationProblem problem =
+            make_problem(*docs[d], placeholders);
+        const core::DisambiguationResult got =
+            filtered.Disambiguate(problem, {});
+        const core::DisambiguationResult want =
+            unfiltered.Disambiguate(problem, {});
+        ASSERT_EQ(got.mentions.size(), want.mentions.size());
+        for (size_t m = 0; m < got.mentions.size(); ++m) {
+          const core::MentionResult& g = got.mentions[m];
+          const core::MentionResult& w = want.mentions[m];
+          EXPECT_EQ(g.entity, w.entity) << "mention " << m;
+          EXPECT_EQ(g.chose_placeholder, w.chose_placeholder);
+          EXPECT_EQ(Bits(g.score), Bits(w.score)) << "mention " << m;
+          ASSERT_EQ(g.candidate_scores.size(), w.candidate_scores.size());
+          for (size_t c = 0; c < g.candidate_scores.size(); ++c) {
+            EXPECT_EQ(Bits(g.candidate_scores[c]),
+                      Bits(w.candidate_scores[c]))
+                << "mention " << m << " candidate " << c;
+          }
+          if (lsh == &good && placeholders) {
+            placeholder_mentions += std::count(
+                g.candidate_is_placeholder.begin(),
+                g.candidate_is_placeholder.end(), true);
+          }
+        }
+        EXPECT_EQ(got.stats.graph_iterations, want.stats.graph_iterations);
+        filtered_lookups += got.stats.relatedness_computations;
+        unfiltered_lookups += want.stats.relatedness_computations;
+
+        // Candidates whose entity another mention chose: the pairs the
+        // same-entity rule keeps.
+        if (lsh != &good || placeholders) continue;
+        for (size_t m = 0; m < got.mentions.size(); ++m) {
+          for (const kb::EntityId e : got.mentions[m].candidate_entities) {
+            for (size_t other = 0; other < got.mentions.size(); ++other) {
+              repeated_entities += other != m && e != kb::kNoEntity &&
+                                   got.mentions[other].entity == e;
+            }
+          }
+        }
+      }
+    }
+    // The filter drops a good share of the pairs.
+    EXPECT_LT(4 * filtered_lookups, 3 * unfiltered_lookups) << lsh->name();
+  }
+  EXPECT_GE(placeholder_mentions, 100u);
+  EXPECT_GE(repeated_entities, 100u);
 }
 
 }  // namespace

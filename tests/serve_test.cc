@@ -9,6 +9,7 @@
 #include <chrono>
 #include <condition_variable>
 #include <future>
+#include <initializer_list>
 #include <memory>
 #include <mutex>
 #include <stdexcept>
@@ -21,6 +22,7 @@
 #include "core/batch.h"
 #include "core/relatedness_cache.h"
 #include "kb/snapshot_registry.h"
+#include "kore/kore_lsh.h"
 #include "serve/bounded_queue.h"
 #include "serve/metrics.h"
 #include "serve/ned_service.h"
@@ -695,43 +697,51 @@ TEST(NedServiceTest, ServedResultsByteIdenticalToSerial) {
   EXPECT_EQ(served_total.graph_iterations, serial_total.graph_iterations);
 }
 
+// Under MW and under KORE-LSH-G, whose pair filter the per-thread entity
+// table of every worker applies to the graph and the re-scoring.
 TEST(NedServiceTest, SharedRelatednessCacheServesConcurrentRequests) {
   const TestWorld& tw = TestWorld::Get();
   core::CandidateModelStore models(tw.world.knowledge_base.get());
-  core::MilneWittenRelatedness mw(tw.world.knowledge_base.get());
-  core::Aida plain(&models, &mw, core::AidaOptions());
+  const core::MilneWittenRelatedness mw(tw.world.knowledge_base.get());
+  const kore::KoreLshRelatedness lsh_g =
+      kore::KoreLshRelatedness::Good(&tw.world.knowledge_base->keyphrases());
 
   std::vector<core::DisambiguationProblem> problems;
   for (const corpus::Document& doc : tw.corpus) {
     problems.push_back(ToProblem(doc));
   }
-  std::vector<core::DisambiguationResult> reference;
-  for (const core::DisambiguationProblem& problem : problems) {
-    reference.push_back(plain.Disambiguate(problem, {}));
-  }
+  for (const core::RelatednessMeasure* measure :
+       std::initializer_list<const core::RelatednessMeasure*>{&mw, &lsh_g}) {
+    SCOPED_TRACE(measure->name());
+    core::Aida plain(&models, measure, core::AidaOptions());
+    std::vector<core::DisambiguationResult> reference;
+    for (const core::DisambiguationProblem& problem : problems) {
+      reference.push_back(plain.Disambiguate(problem, {}));
+    }
 
-  core::RelatednessCache cache;
-  core::CachedRelatednessMeasure cached(&mw, &cache);
-  core::Aida aida(&models, &cached, core::AidaOptions());
-  NedServiceOptions options;
-  options.num_threads = 4;
-  options.queue_capacity = 16;
-  options.shared_cache = &cache;
-  NedService service(kb::KbSnapshot::WrapUnowned(aida, "aida"), options);
-  std::vector<ServeResult> served = service.DisambiguateAll(problems);
+    core::RelatednessCache cache;
+    core::CachedRelatednessMeasure cached(measure, &cache);
+    core::Aida aida(&models, &cached, core::AidaOptions());
+    NedServiceOptions options;
+    options.num_threads = 4;
+    options.queue_capacity = 16;
+    options.shared_cache = &cache;
+    NedService service(kb::KbSnapshot::WrapUnowned(aida, "aida"), options);
+    std::vector<ServeResult> served = service.DisambiguateAll(problems);
 
-  for (size_t d = 0; d < served.size(); ++d) {
-    ASSERT_TRUE(served[d].status.ok());
-    ExpectSameResults(reference[d], served[d].result);
+    for (size_t d = 0; d < served.size(); ++d) {
+      ASSERT_TRUE(served[d].status.ok());
+      ExpectSameResults(reference[d], served[d].result);
+    }
+    NedServiceSnapshot snapshot = service.Snapshot();
+    ASSERT_TRUE(snapshot.has_cache);
+    // Entities recur across documents: concurrent requests must have
+    // reused pairs through the shared cache.
+    EXPECT_GT(snapshot.cache.hits, 0u);
+    EXPECT_EQ(snapshot.cache.hits + snapshot.cache.misses,
+              AggregateCompletedStats(served).relatedness_cache_hits +
+                  AggregateCompletedStats(served).relatedness_computations);
   }
-  NedServiceSnapshot snapshot = service.Snapshot();
-  ASSERT_TRUE(snapshot.has_cache);
-  // Entities recur across documents: concurrent requests must have reused
-  // pairs through the shared cache.
-  EXPECT_GT(snapshot.cache.hits, 0u);
-  EXPECT_EQ(snapshot.cache.hits + snapshot.cache.misses,
-            AggregateCompletedStats(served).relatedness_cache_hits +
-                AggregateCompletedStats(served).relatedness_computations);
 }
 
 // ---------------------------------------------------------------------------

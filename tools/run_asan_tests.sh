@@ -3,10 +3,11 @@
 # CMakeLists expands to ASan + UBSan) and runs the concurrency-sensitive
 # tests: the batch runner and the aida::serve service, whose
 # promise/future handoffs and drain/shutdown paths are where lifetime
-# bugs would live, the hashing and KORE tests, whose per-thread scratch
-# tables and published band-key arrays index by computed offsets, and the
-# graph tests, whose solver reads a dense occurrence table by computed
-# offsets.
+# bugs would live, the snapshot and KB-format tests, the hashing and KORE
+# tests, whose per-thread scratch tables and published band-key arrays
+# index by computed offsets, and the graph tests, whose solver reads a
+# dense occurrence table and whose graph build reads the document entity
+# table's slots and kept-pair bitmap by computed offsets.
 # Also replays the tests/fuzz/corpus/ seed corpora (including every fixed
 # crasher) through the sanitized harness binaries, so corpus coverage gets
 # ASan/UBSan eyes even on machines without Clang/libFuzzer.
@@ -14,7 +15,7 @@
 #
 # Usage: tools/run_asan_tests.sh [extra gtest filter]
 #   BUILD_DIR=build-asan  override the build directory
-#   When a filter is given it is applied to both test binaries.
+#   When a filter is given it is applied to all eight test binaries.
 set -euo pipefail
 
 REPO_ROOT="$(cd "$(dirname "$0")/.." && pwd)"
