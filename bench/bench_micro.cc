@@ -1,8 +1,8 @@
 // Google-benchmark microbenchmarks for the performance-critical
 // primitives: min-hash sketching, two-stage LSH grouping, KORE and
-// Milne-Witten pair computation, keyphrase-cover context scoring, the
-// constrained dense-subgraph solver, and Algorithm 1 end to end on one
-// mention-entity graph.
+// Milne-Witten pair computation, the document word index and
+// keyphrase-cover context scoring, the constrained dense-subgraph solver,
+// and Algorithm 1 end to end on one mention-entity graph.
 
 #include <benchmark/benchmark.h>
 
@@ -107,19 +107,74 @@ void BM_MilneWittenPair(benchmark::State& state) {
 }
 BENCHMARK(BM_MilneWittenPair);
 
-void BM_ContextSimilarity(benchmark::State& state) {
-  const Fixture& fixture = Fixture::Get();
-  const corpus::Document& doc = fixture.docs.front();
-  core::ExtendedVocabulary vocab(
-      &fixture.world.knowledge_base->keyphrases());
-  core::DocumentContext context(doc.tokens, vocab);
-  core::ContextSimilarity similarity;
-  auto model = fixture.models->ModelFor(5);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(similarity.Score(context, 0, 0, *model));
+// Every fixture document's index, with the candidate lists of its gold
+// mentions: the local-feature phase's inputs, built once.
+struct ContextFixture {
+  core::ExtendedVocabulary vocab;
+  std::vector<core::DocumentContext> contexts;
+  std::vector<std::vector<std::vector<core::Candidate>>> candidates;
+  size_t scores = 0;
+
+  static const ContextFixture& Get() {
+    static const ContextFixture& fixture = *new ContextFixture();
+    return fixture;
   }
+
+ private:
+  ContextFixture()
+      : vocab(&Fixture::Get().world.knowledge_base->keyphrases()) {
+    const Fixture& base = Fixture::Get();
+    for (const corpus::Document& doc : base.docs) {
+      contexts.emplace_back(doc.tokens, vocab);
+      candidates.emplace_back();
+      for (const corpus::GoldMention& gm : doc.mentions) {
+        candidates.back().push_back(
+            core::LookupCandidates(*base.models, gm.surface));
+        scores += candidates.back().back().size();
+      }
+    }
+  }
+};
+
+// Scores every candidate of every fixture document at its mention's span,
+// as the local-feature phase of a request does.
+void BM_ContextSimilarity(benchmark::State& state) {
+  const Fixture& base = Fixture::Get();
+  const ContextFixture& fixture = ContextFixture::Get();
+  core::ContextSimilarity similarity;
+  for (auto _ : state) {
+    double total = 0.0;
+    for (size_t d = 0; d < base.docs.size(); ++d) {
+      const std::vector<corpus::GoldMention>& mentions = base.docs[d].mentions;
+      for (size_t m = 0; m < mentions.size(); ++m) {
+        for (const core::Candidate& cand : fixture.candidates[d][m]) {
+          total += similarity.Score(fixture.contexts[d],
+                                    mentions[m].begin_token,
+                                    mentions[m].end_token, *cand.model);
+        }
+      }
+    }
+    benchmark::DoNotOptimize(total);
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(fixture.scores));
 }
 BENCHMARK(BM_ContextSimilarity);
+
+// Builds the index of every fixture document.
+void BM_DocumentContext(benchmark::State& state) {
+  const Fixture& base = Fixture::Get();
+  const ContextFixture& fixture = ContextFixture::Get();
+  for (auto _ : state) {
+    for (const corpus::Document& doc : base.docs) {
+      core::DocumentContext context(doc.tokens, fixture.vocab);
+      benchmark::DoNotOptimize(context);
+    }
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(base.docs.size()));
+}
+BENCHMARK(BM_DocumentContext);
 
 void BM_DenseSubgraph(benchmark::State& state) {
   // Random bipartite-ish instance: m mentions, 5m entities.

@@ -59,7 +59,7 @@ ExtendedVocabulary::ExtendedVocabulary(const kb::KeyphraseStore* store)
 
 kb::WordId ExtendedVocabulary::Find(std::string_view word) const {
   kb::WordId w = store_->FindWord(word);
-  if (w != kb::kNoWord) return w;
+  if (w != kb::kNoWord || extra_ids_.empty()) return w;
   auto it = extra_ids_.find(std::string(word));
   return it == extra_ids_.end() ? kb::kNoWord : it->second;
 }

@@ -94,6 +94,7 @@ class ExtendedVocabulary {
   explicit ExtendedVocabulary(const kb::KeyphraseStore* store);
 
   /// Finds an existing (KB or extension) word id; kb::kNoWord if unknown.
+  /// Does not allocate while no extension word has been interned.
   kb::WordId Find(std::string_view word) const;
 
   /// Finds or interns; new words get `default_idf` until SetIdf is called.

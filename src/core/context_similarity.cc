@@ -1,6 +1,8 @@
 #include "core/context_similarity.h"
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <limits>
 
 #include "text/stopwords.h"
@@ -12,43 +14,57 @@ DocumentContext::DocumentContext(const std::vector<std::string>& tokens,
                                  const ExtendedVocabulary& vocab)
     : token_count_(tokens.size()) {
   const text::StopwordList& stopwords = text::DefaultStopwords();
-  // (word, position) occurrences in document order.
-  std::vector<std::pair<kb::WordId, size_t>> occurrences;
+  // (position, word) occurrences in document order.
+  std::vector<std::pair<size_t, kb::WordId>> occurrences;
+  occurrences.reserve(tokens.size());
+  kb::WordId max_word = 0;
   for (size_t i = 0; i < tokens.size(); ++i) {
     const std::string& token = tokens[i];
     if (token.size() <= 1 || stopwords.Contains(token)) continue;
     kb::WordId w = vocab.Find(util::ToLower(token));
     if (w == kb::kNoWord) continue;
-    occurrences.emplace_back(w, i);
+    occurrences.emplace_back(i, w);
+    max_word = std::max(max_word, w);
   }
-  // Group into per-word position lists, sorted by word id. Sorting by
-  // (word, position) keeps each word's positions in ascending document
-  // order; (word, position) pairs are unique, so the order is total.
-  std::sort(occurrences.begin(), occurrences.end());
-  for (const auto& [word, pos] : occurrences) {
-    if (positions_.empty() || positions_.back().first != word) {
-      positions_.emplace_back(word, std::vector<size_t>());
+  if (occurrences.empty()) return;
+
+  // Presence bitmap up to the largest word present, the rank of each
+  // block, and the distinct words in ascending id order.
+  present_.assign(max_word / 64 + 1, 0);
+  for (const auto& [pos, word] : occurrences) {
+    present_[word / 64] |= uint64_t{1} << (word % 64);
+  }
+  rank_.resize(present_.size());
+  words_.reserve(occurrences.size());
+  for (size_t block = 0; block < present_.size(); ++block) {
+    rank_[block] = static_cast<uint32_t>(words_.size());
+    for (uint64_t bits = present_[block]; bits != 0; bits &= bits - 1) {
+      words_.push_back(
+          static_cast<kb::WordId>(block * 64 + std::countr_zero(bits)));
     }
-    positions_.back().second.push_back(pos);
+  }
+
+  // CSR by counting sort. offsets_[r] first counts row r's occurrences,
+  // then becomes the end of its slice; filling each slice back to front
+  // in reverse document order leaves its start in offsets_[r] and its
+  // positions ascending.
+  offsets_.assign(words_.size() + 1, 0);
+  for (const auto& [pos, word] : occurrences) ++offsets_[Row(word)];
+  for (size_t r = 1; r < offsets_.size(); ++r) offsets_[r] += offsets_[r - 1];
+  positions_.resize(occurrences.size());
+  for (auto it = occurrences.rbegin(); it != occurrences.rend(); ++it) {
+    positions_[--offsets_[Row(it->second)]] = it->first;
   }
 }
 
 std::vector<std::pair<kb::WordId, size_t>> DocumentContext::WordCounts()
     const {
   std::vector<std::pair<kb::WordId, size_t>> counts;
-  counts.reserve(positions_.size());
-  for (const auto& [word, positions] : positions_) {
-    counts.emplace_back(word, positions.size());
+  counts.reserve(words_.size());
+  for (size_t r = 0; r < words_.size(); ++r) {
+    counts.emplace_back(words_[r], offsets_[r + 1] - offsets_[r]);
   }
   return counts;
-}
-
-const std::vector<size_t>& DocumentContext::Positions(kb::WordId word) const {
-  static const std::vector<size_t>& empty = *new std::vector<size_t>();
-  auto it = std::lower_bound(
-      positions_.begin(), positions_.end(), word,
-      [](const auto& row, kb::WordId w) { return row.first < w; });
-  return it == positions_.end() || it->first != word ? empty : it->second;
 }
 
 ContextSimilarity::ContextSimilarity(WordWeight weight_mode)
@@ -57,22 +73,28 @@ ContextSimilarity::ContextSimilarity(WordWeight weight_mode)
 double ContextSimilarity::Score(const DocumentContext& context,
                                 size_t mention_begin, size_t mention_end,
                                 const CandidateModel& model) const {
+  // Per-thread scratch, reused across calls: a warm call never allocates.
+  thread_local std::vector<std::pair<size_t, uint32_t>>
+      occurrences;  // (pos, word slot)
+  thread_local std::vector<uint32_t> window_counts;
+
   double total = 0.0;
-  // Scratch buffers hoisted out of the phrase loop.
-  std::vector<std::pair<size_t, uint32_t>> occurrences;  // (pos, word slot)
-  std::vector<uint32_t> window_counts;
-
   for (const CandidatePhrase& phrase : model.phrases) {
-    const size_t len = phrase.words.size();
-    if (len == 0) continue;
-
-    // Word weights and total phrase weight mass.
-    double phrase_word_mass = 0.0;
-    for (size_t i = 0; i < len; ++i) {
-      phrase_word_mass += weight_mode_ == WordWeight::kNpmi
-                              ? phrase.word_npmi[i]
-                              : phrase.word_idf[i];
+    // A phrase none of whose words occurs anywhere in the document would
+    // find no occurrence below and add nothing; most phrases are such.
+    // This also skips empty phrases.
+    if (std::none_of(phrase.words.begin(), phrase.words.end(),
+                     [&](kb::WordId w) { return context.Contains(w); })) {
+      continue;
     }
+    const size_t len = phrase.words.size();
+    const std::vector<double>& weights = weight_mode_ == WordWeight::kNpmi
+                                             ? phrase.word_npmi
+                                             : phrase.word_idf;
+
+    // Total phrase weight mass.
+    double phrase_word_mass = 0.0;
+    for (size_t i = 0; i < len; ++i) phrase_word_mass += weights[i];
     if (phrase_word_mass <= 0.0) continue;
 
     // Occurrences of the phrase's words in the document, outside the
@@ -98,9 +120,7 @@ double ContextSimilarity::Score(const DocumentContext& context,
       }
       if (found) {
         ++present_slots;
-        matched_mass += weight_mode_ == WordWeight::kNpmi
-                            ? phrase.word_npmi[i]
-                            : phrase.word_idf[i];
+        matched_mass += weights[i];
       }
     }
     if (present_slots == 0) continue;

@@ -1,8 +1,12 @@
 #ifndef AIDA_CORE_CONTEXT_SIMILARITY_H_
 #define AIDA_CORE_CONTEXT_SIMILARITY_H_
 
+#include <bit>
 #include <cstddef>
+#include <cstdint>
+#include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/candidates.h"
@@ -14,8 +18,13 @@ namespace aida::core {
 /// against the text. Tokens are lowercased, stopwords dropped, and words
 /// unknown to the vocabulary ignored.
 ///
-/// The index is a word-id-sorted array probed by binary search, NOT a
-/// hash map: consumers iterate it (WordCounts) and fold the results into
+/// The index is flat (DESIGN.md §5j): the sorted distinct words, their
+/// positions in CSR form, and a presence bitmap over word ids with the
+/// number of set bits before each 64-bit block. `Contains` is one bit
+/// test; `Positions` adds one popcount and returns a CSR slice. The
+/// bitmap covers word ids up to the largest one present, so it costs at
+/// most 12 bytes per 64 vocabulary words. There is no hash map:
+/// consumers iterate the index (WordCounts) and fold the results into
 /// floating-point sums, so iteration order must be deterministic across
 /// platforms and hash seeds (the parallel == serial byte-identical
 /// contract, DESIGN.md §5e; enforced by the unordered-iteration lint in
@@ -26,9 +35,22 @@ class DocumentContext {
   DocumentContext(const std::vector<std::string>& tokens,
                   const ExtendedVocabulary& vocab);
 
-  /// Sorted positions of `word` in the document (empty if absent).
-  const std::vector<size_t>& Positions(kb::WordId word) const
-      AIDA_LIFETIME_BOUND;
+  /// Whether `word` occurs anywhere in the document, mention spans
+  /// included. False for every id past the largest one present.
+  bool Contains(kb::WordId word) const {
+    const size_t block = word / 64;
+    return block < present_.size() && ((present_[block] >> (word % 64)) & 1);
+  }
+
+  /// Ascending positions of `word` in the document; empty if absent,
+  /// including for ids interned after the index was built.
+  std::span<const size_t> Positions(kb::WordId word) const
+      AIDA_LIFETIME_BOUND {
+    if (!Contains(word)) return {};
+    const size_t row = Row(word);
+    return {positions_.data() + offsets_[row],
+            offsets_[row + 1] - offsets_[row]};
+  }
 
   /// All distinct indexed words with their occurrence counts, in
   /// ascending word-id order. Used by consumers that iterate the context
@@ -38,9 +60,26 @@ class DocumentContext {
   size_t token_count() const { return token_count_; }
 
  private:
+  /// Index of present `word` among the distinct words: the set bits
+  /// before it.
+  size_t Row(kb::WordId word) const {
+    const size_t block = word / 64;
+    const uint64_t below = (uint64_t{1} << (word % 64)) - 1;
+    return rank_[block] +
+           static_cast<size_t>(std::popcount(present_[block] & below));
+  }
+
   size_t token_count_ = 0;
-  /// (word, positions) rows sorted by word id; positions ascending.
-  std::vector<std::pair<kb::WordId, std::vector<size_t>>> positions_;
+  /// Distinct indexed words, ascending.
+  std::vector<kb::WordId> words_;
+  /// words_[r]'s positions are positions_[offsets_[r], offsets_[r + 1]).
+  std::vector<size_t> offsets_;
+  /// Every indexed position, grouped by word, ascending within a word.
+  std::vector<size_t> positions_;
+  /// Bit w % 64 of block w / 64 is set iff word w occurs.
+  std::vector<uint64_t> present_;
+  /// rank_[b]: set bits in present_[0, b).
+  std::vector<uint32_t> rank_;
 };
 
 /// Keyphrase-cover mention-entity similarity (Section 3.3.4). For each
@@ -66,7 +105,10 @@ class ContextSimilarity {
   explicit ContextSimilarity(WordWeight weight_mode = WordWeight::kNpmi);
 
   /// Scores `model` against the document, ignoring token positions in
-  /// [mention_begin, mention_end).
+  /// [mention_begin, mention_end). A phrase none of whose words occurs in
+  /// the document adds exactly zero, so it is skipped on the bitmap
+  /// before any weight arithmetic; the other phrases are summed in model
+  /// order. Warm calls do not allocate: the window scratch is per thread.
   double Score(const DocumentContext& context, size_t mention_begin,
                size_t mention_end, const CandidateModel& model) const;
 

@@ -21,6 +21,8 @@
 #include <gtest/gtest.h>
 
 #include "core/aida.h"
+#include "core/candidates.h"
+#include "core/context_similarity.h"
 #include "core/relatedness.h"
 #include "core/relatedness_cache.h"
 #include "kb/dictionary.h"
@@ -201,6 +203,93 @@ TEST(AllocProbeTest, LatencyHistogramRecordDoesNotAllocate) {
   }
   EXPECT_EQ(probe.allocations(), 0u);
   EXPECT_EQ(probe.deallocations(), 0u);
+}
+
+TEST(AllocProbeTest, WarmContextSimilarityScoreDoesNotAllocate) {
+  SKIP_WITHOUT_PROBE();
+  const testing::TestWorld& world = testing::TestWorld::Get();
+  core::CandidateModelStore models(world.world.knowledge_base.get());
+  core::ExtendedVocabulary vocab(&world.world.knowledge_base->keyphrases());
+  for (size_t d = 0; d < 4 && d < world.corpus.size(); ++d) {
+    const corpus::Document& doc = world.corpus[d];
+    const core::DocumentContext context(doc.tokens, vocab);
+    std::vector<std::vector<core::Candidate>> candidates;
+    for (const corpus::GoldMention& gm : doc.mentions) {
+      candidates.push_back(core::LookupCandidates(models, gm.surface));
+    }
+    for (const core::ContextSimilarity similarity :
+         {core::ContextSimilarity(core::ContextSimilarity::WordWeight::kNpmi),
+          core::ContextSimilarity(core::ContextSimilarity::WordWeight::kIdf)}) {
+      // Every candidate at its mention's span.
+      const auto score_all = [&] {
+        double sum = 0.0;
+        for (size_t m = 0; m < doc.mentions.size(); ++m) {
+          for (const core::Candidate& cand : candidates[m]) {
+            sum += similarity.Score(context, doc.mentions[m].begin_token,
+                                    doc.mentions[m].end_token, *cand.model);
+          }
+        }
+        return sum;
+      };
+      const double warm = score_all();  // sizes the per-thread scratch
+      util::ScopedAllocationCount probe;
+      const double total = score_all();
+      const uint64_t allocations = probe.allocations();
+      const uint64_t deallocations = probe.deallocations();
+      EXPECT_GT(total, 0.0) << "document " << d;
+      EXPECT_EQ(total, warm) << "document " << d;
+      EXPECT_EQ(allocations, 0u) << "document " << d;
+      EXPECT_EQ(deallocations, 0u) << "document " << d;
+    }
+  }
+}
+
+TEST(AllocProbeTest, VocabularyMissWithoutExtensionsDoesNotAllocate) {
+  SKIP_WITHOUT_PROBE();
+  const testing::TestWorld& world = testing::TestWorld::Get();
+  core::ExtendedVocabulary vocab(&world.world.knowledge_base->keyphrases());
+  // Longer than any small-string buffer: a lookup that built a
+  // std::string from it would allocate.
+  const std::string unknown = "an-unknown-token-longer-than-the-sso-buffer";
+  const std::string known(vocab.Text(0));
+  util::ScopedAllocationCount probe;
+  for (int i = 0; i < 100; ++i) {
+    ASSERT_EQ(vocab.Find(unknown), kb::kNoWord);
+    ASSERT_EQ(vocab.Find(known), 0u);
+  }
+  EXPECT_EQ(probe.allocations(), 0u);
+  EXPECT_EQ(probe.deallocations(), 0u);
+}
+
+TEST(AllocProbeTest, DocumentContextIndexIsSizedByLargestWordPresent) {
+  SKIP_WITHOUT_PROBE();
+  // The presence bitmap and its rank array cover word ids up to the
+  // largest one in the document: 8 + 4 bytes per 64 ids. Everything else
+  // scales with the token count; 64 bytes per token bounds it loosely.
+  const testing::TestWorld& world = testing::TestWorld::Get();
+  core::ExtendedVocabulary vocab(&world.world.knowledge_base->keyphrases());
+  const kb::WordId largest = static_cast<kb::WordId>(vocab.size() - 1);
+  ASSERT_GT(largest, 1000u);
+  const std::vector<std::string> small = {std::string(vocab.Text(0)),
+                                          std::string(vocab.Text(1))};
+  const std::vector<std::string> large = {std::string(vocab.Text(0)),
+                                          std::string(vocab.Text(largest))};
+  for (const std::vector<std::string>& tokens : {small, large}) {
+    ASSERT_TRUE(tokens[0].size() > 1 && tokens[0].size() < 16);
+    ASSERT_TRUE(tokens[1].size() > 1 && tokens[1].size() < 16);
+  }
+  // Warm: the first build constructs the shared stopword list.
+  (void)core::DocumentContext(small, vocab);
+  const auto bytes_to_build = [&](const std::vector<std::string>& tokens) {
+    util::ScopedAllocationCount probe;
+    const core::DocumentContext context(tokens, vocab);
+    EXPECT_EQ(context.Positions(vocab.Find(tokens[1])).size(), 1u);
+    return probe.bytes_allocated();
+  };
+  const uint64_t per_tokens = 64 * small.size();
+  EXPECT_LE(bytes_to_build(small), 12 + per_tokens);
+  EXPECT_LE(bytes_to_build(large), 12 * (largest / 64 + 1) + per_tokens);
+  EXPECT_GT(bytes_to_build(large), 8 * (largest / 64 + 1));
 }
 
 // ---------------------------------------------------------------------------

@@ -1,6 +1,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <limits>
+#include <span>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "core/aida.h"
 #include "core/baselines.h"
@@ -9,7 +16,10 @@
 #include "core/mention_entity_graph.h"
 #include "core/relatedness.h"
 #include "core/robustness.h"
+#include "synth/presets.h"
 #include "test_world.h"
+#include "text/stopwords.h"
+#include "util/string_util.h"
 
 namespace aida::core {
 namespace {
@@ -75,6 +85,7 @@ TEST_F(CoreTest, ModelStoreCaches) {
 TEST_F(CoreTest, ExtendedVocabularyInternsNewWords) {
   ExtendedVocabulary vocab(&world_.knowledge_base->keyphrases());
   size_t base = vocab.size();
+  EXPECT_EQ(vocab.Find("zzz-neverseen"), kb::kNoWord);
   kb::WordId w = vocab.GetOrIntern("zzz-neverseen", 7.5);
   EXPECT_GE(w, base);
   EXPECT_EQ(vocab.GetOrIntern("zzz-neverseen"), w);
@@ -83,6 +94,13 @@ TEST_F(CoreTest, ExtendedVocabularyInternsNewWords) {
   vocab.SetIdf(w, 3.0);
   EXPECT_DOUBLE_EQ(vocab.Idf(w), 3.0);
   EXPECT_EQ(vocab.size(), base + 1);
+  // A key longer than a small-string buffer takes the same path.
+  const std::string long_word = "zzz-an-extension-word-past-the-sso-buffer";
+  EXPECT_EQ(vocab.Find(long_word), kb::kNoWord);
+  const kb::WordId long_id = vocab.GetOrIntern(long_word);
+  EXPECT_EQ(vocab.Find(long_word), long_id);
+  EXPECT_EQ(vocab.Find("zzz-neverseen"), w);
+  EXPECT_EQ(vocab.Find("zzz-still-unknown"), kb::kNoWord);
 }
 
 // ---- Context similarity ------------------------------------------------------
@@ -189,18 +207,332 @@ TEST_F(CoreTest, DocumentContextWordCountsSortedByWordId) {
     ASSERT_FALSE(counts.empty());
     size_t total = 0;
     for (size_t i = 0; i < counts.size(); ++i) {
-      if (i > 0) EXPECT_LT(counts[i - 1].first, counts[i].first);
+      if (i > 0) {
+        EXPECT_LT(counts[i - 1].first, counts[i].first);
+      }
       // Each row must agree with the probe path.
-      const std::vector<size_t>& positions =
+      const std::span<const size_t> positions =
           context.Positions(counts[i].first);
       EXPECT_EQ(positions.size(), counts[i].second);
       EXPECT_TRUE(std::is_sorted(positions.begin(), positions.end()));
       total += counts[i].second;
     }
     EXPECT_LE(total, context.token_count());
-    // Probing an unknown word still yields the shared empty row.
+    // Probing an unknown word still yields an empty span.
     EXPECT_TRUE(context.Positions(kb::kNoWord - 1).empty());
   }
+}
+
+// ---- Document index and keyphrase cover against an oracle -------------------
+
+// The document index and scorer as they were before the flat index: a
+// word-sorted array of position vectors probed by binary search, and a
+// scorer that visits every phrase. DocumentContext and
+// ContextSimilarity::Score must reproduce them bit for bit.
+class OracleContext {
+ public:
+  OracleContext(const std::vector<std::string>& tokens,
+                const ExtendedVocabulary& vocab) {
+    const text::StopwordList& stopwords = text::DefaultStopwords();
+    std::vector<std::pair<kb::WordId, size_t>> occurrences;
+    for (size_t i = 0; i < tokens.size(); ++i) {
+      const std::string& token = tokens[i];
+      if (token.size() <= 1 || stopwords.Contains(token)) continue;
+      kb::WordId w = vocab.Find(util::ToLower(token));
+      if (w == kb::kNoWord) continue;
+      occurrences.emplace_back(w, i);
+    }
+    std::sort(occurrences.begin(), occurrences.end());
+    for (const auto& [word, pos] : occurrences) {
+      if (positions_.empty() || positions_.back().first != word) {
+        positions_.emplace_back(word, std::vector<size_t>());
+      }
+      positions_.back().second.push_back(pos);
+    }
+  }
+
+  const std::vector<size_t>& Positions(kb::WordId word) const {
+    auto it = std::lower_bound(
+        positions_.begin(), positions_.end(), word,
+        [](const auto& row, kb::WordId w) { return row.first < w; });
+    return it == positions_.end() || it->first != word ? empty_ : it->second;
+  }
+
+  std::vector<std::pair<kb::WordId, size_t>> WordCounts() const {
+    std::vector<std::pair<kb::WordId, size_t>> counts;
+    for (const auto& [word, positions] : positions_) {
+      counts.emplace_back(word, positions.size());
+    }
+    return counts;
+  }
+
+ private:
+  std::vector<std::pair<kb::WordId, std::vector<size_t>>> positions_;
+  std::vector<size_t> empty_;
+};
+
+double OracleScore(const OracleContext& context, size_t mention_begin,
+                   size_t mention_end, const CandidateModel& model,
+                   ContextSimilarity::WordWeight mode) {
+  const bool npmi = mode == ContextSimilarity::WordWeight::kNpmi;
+  double total = 0.0;
+  std::vector<std::pair<size_t, uint32_t>> occurrences;
+  std::vector<uint32_t> window_counts;
+  for (const CandidatePhrase& phrase : model.phrases) {
+    const size_t len = phrase.words.size();
+    if (len == 0) continue;
+    double phrase_word_mass = 0.0;
+    for (size_t i = 0; i < len; ++i) {
+      phrase_word_mass += npmi ? phrase.word_npmi[i] : phrase.word_idf[i];
+    }
+    if (phrase_word_mass <= 0.0) continue;
+    occurrences.clear();
+    uint32_t present_slots = 0;
+    double matched_mass = 0.0;
+    for (size_t i = 0; i < len; ++i) {
+      bool duplicate = false;
+      for (size_t j = 0; j < i; ++j) {
+        if (phrase.words[j] == phrase.words[i]) {
+          duplicate = true;
+          break;
+        }
+      }
+      if (duplicate) continue;
+      bool found = false;
+      for (size_t pos : context.Positions(phrase.words[i])) {
+        if (pos >= mention_begin && pos < mention_end) continue;
+        occurrences.emplace_back(pos, present_slots);
+        found = true;
+      }
+      if (found) {
+        ++present_slots;
+        matched_mass += npmi ? phrase.word_npmi[i] : phrase.word_idf[i];
+      }
+    }
+    if (present_slots == 0) continue;
+    std::sort(occurrences.begin(), occurrences.end());
+    window_counts.assign(present_slots, 0);
+    uint32_t distinct_in_window = 0;
+    size_t best_window = std::numeric_limits<size_t>::max();
+    size_t left = 0;
+    for (size_t right = 0; right < occurrences.size(); ++right) {
+      if (window_counts[occurrences[right].second]++ == 0) {
+        ++distinct_in_window;
+      }
+      while (distinct_in_window == present_slots) {
+        size_t window =
+            occurrences[right].first - occurrences[left].first + 1;
+        best_window = std::min(best_window, window);
+        if (--window_counts[occurrences[left].second] == 0) {
+          --distinct_in_window;
+        }
+        ++left;
+      }
+    }
+    if (best_window == std::numeric_limits<size_t>::max()) continue;
+    double z = static_cast<double>(present_slots) /
+               static_cast<double>(best_window);
+    double fraction = matched_mass / phrase_word_mass;
+    total += z * fraction * fraction;
+  }
+  return total;
+}
+
+uint64_t Bits(double value) { return std::bit_cast<uint64_t>(value); }
+
+constexpr ContextSimilarity::WordWeight kWeightModes[] = {
+    ContextSimilarity::WordWeight::kNpmi,
+    ContextSimilarity::WordWeight::kIdf};
+
+// Positions() of every id in [0, vocab.size() + 128) and of
+// kb::kNoWord - 1, and WordCounts(), equal the oracle's.
+void ExpectIndexMatchesOracle(const DocumentContext& context,
+                              const OracleContext& oracle,
+                              const ExtendedVocabulary& vocab) {
+  EXPECT_EQ(context.WordCounts(), oracle.WordCounts());
+  std::vector<kb::WordId> ids;
+  for (size_t w = 0; w < vocab.size() + 128; ++w) {
+    ids.push_back(static_cast<kb::WordId>(w));
+  }
+  ids.push_back(kb::kNoWord - 1);
+  for (kb::WordId w : ids) {
+    const std::span<const size_t> got = context.Positions(w);
+    const std::vector<size_t>& want = oracle.Positions(w);
+    ASSERT_TRUE(std::equal(got.begin(), got.end(), want.begin(), want.end()))
+        << "word " << w;
+    ASSERT_EQ(context.Contains(w), !want.empty()) << "word " << w;
+  }
+}
+
+// Every candidate of every gold mention, at its real span, in both weight
+// modes. Returns how many of the scores were nonzero.
+size_t ExpectScoresMatchOracle(const corpus::Document& doc,
+                               const CandidateModelStore& models,
+                               const ExtendedVocabulary& vocab) {
+  const DocumentContext context(doc.tokens, vocab);
+  const OracleContext oracle(doc.tokens, vocab);
+  ExpectIndexMatchesOracle(context, oracle, vocab);
+  size_t nonzero = 0;
+  for (ContextSimilarity::WordWeight mode : kWeightModes) {
+    const ContextSimilarity similarity(mode);
+    for (const corpus::GoldMention& gm : doc.mentions) {
+      for (const Candidate& c : LookupCandidates(models, gm.surface)) {
+        const double got =
+            similarity.Score(context, gm.begin_token, gm.end_token, *c.model);
+        const double want =
+            OracleScore(oracle, gm.begin_token, gm.end_token, *c.model, mode);
+        EXPECT_EQ(Bits(got), Bits(want))
+            << gm.surface << " entity " << c.entity;
+        if (want != 0.0) ++nonzero;
+      }
+    }
+  }
+  return nonzero;
+}
+
+TEST_F(CoreTest, ContextSimilarityMatchesOracleOnTestWorldDocuments) {
+  ExtendedVocabulary vocab(&world_.knowledge_base->keyphrases());
+  size_t nonzero = 0;
+  for (size_t d = 0; d < corpus_.size(); ++d) {
+    SCOPED_TRACE("conll document " + std::to_string(d));
+    nonzero += ExpectScoresMatchOracle(corpus_[d], models_, vocab);
+  }
+  // The serving benchmark's heavy shape.
+  synth::CorpusConfig heavy = synth::ConllPreset().corpus;
+  heavy.seed = 995;
+  heavy.num_documents = 6;
+  heavy.doc_tokens = 500;
+  heavy.entities_per_doc = 35;
+  heavy.mention_repeat = 1.5;
+  const corpus::Corpus heavy_docs =
+      synth::CorpusGenerator(&world_, heavy).Generate();
+  ASSERT_EQ(heavy_docs.size(), heavy.num_documents);
+  for (size_t d = 0; d < heavy_docs.size(); ++d) {
+    SCOPED_TRACE("heavy document " + std::to_string(d));
+    nonzero += ExpectScoresMatchOracle(heavy_docs[d], models_, vocab);
+  }
+  EXPECT_GT(nonzero, 1000u);
+}
+
+TEST_F(CoreTest, ContextSimilarityMatchesOracleOnEdgeCaseModels) {
+  const kb::KeyphraseStore& store = world_.knowledge_base->keyphrases();
+  ExtendedVocabulary vocab(&store);
+  // KB words at the 64-bit block edges of the presence bitmap, each
+  // usable as a document token.
+  const kb::WordId edges[] = {63, 64, 127, 128};
+  for (kb::WordId w : edges) {
+    ASSERT_LT(w, store.word_count());
+    const std::string text(vocab.Text(w));
+    ASSERT_GT(text.size(), 1u);
+    ASSERT_FALSE(text::DefaultStopwords().Contains(text));
+    ASSERT_EQ(vocab.Find(text), w);
+  }
+  const kb::WordId in_span = vocab.GetOrIntern("zzq-mention-only", 4.0);
+  const kb::WordId early = vocab.GetOrIntern("zzq-interned-early", 6.0);
+  auto token = [&](kb::WordId w) { return std::string(vocab.Text(w)); };
+
+  // Documents whose largest word sits on either side of a block edge,
+  // and one that also holds two extension words, the first of them only
+  // inside the span [1, 2).
+  const std::vector<std::vector<std::string>> docs = {
+      {token(63), token(5), token(63)},
+      {token(64), token(63), "zzq-not-a-word", token(64)},
+      {token(127), token(64), token(0)},
+      {token(128), token(127), token(63), token(128), token(64)},
+      {token(63), "zzq-mention-only", token(64), token(127), "the",
+       "zzq-interned-early", token(128), token(63), token(5), token(64),
+       "zzq-interned-early"},
+  };
+  std::vector<DocumentContext> contexts;
+  std::vector<OracleContext> oracles;
+  for (const std::vector<std::string>& tokens : docs) {
+    contexts.emplace_back(tokens, vocab);
+    oracles.emplace_back(tokens, vocab);
+  }
+  // Interned after every context was built: absent from all of them.
+  const kb::WordId late = vocab.GetOrIntern("zzq-interned-late", 5.0);
+  EXPECT_GT(late, early);
+  for (size_t d = 0; d < docs.size(); ++d) {
+    SCOPED_TRACE("document " + std::to_string(d));
+    ExpectIndexMatchesOracle(contexts[d], oracles[d], vocab);
+  }
+  EXPECT_FALSE(contexts.back().Positions(in_span).empty());
+  EXPECT_FALSE(contexts.back().Positions(early).empty());
+  EXPECT_TRUE(contexts.back().Positions(late).empty());
+
+  // Distinct NPMI and IDF weights per word, or the given weights in both.
+  auto phrase = [](std::vector<kb::WordId> words,
+                   std::vector<double> weights = {}) {
+    CandidatePhrase p;
+    p.words = std::move(words);
+    p.phrase_weight = 1.0;
+    for (size_t i = 0; i < p.words.size(); ++i) {
+      p.word_npmi.push_back(weights.empty() ? 0.25 + 0.125 * i : weights[i]);
+      p.word_idf.push_back(weights.empty() ? 1.5 + 0.75 * i : weights[i]);
+    }
+    return p;
+  };
+  const kb::WordId beyond = kb::kNoWord - 1;
+  const std::vector<CandidatePhrase> phrases = {
+      phrase({}),
+      phrase({63, 63, 64}),
+      phrase({64, 127, 64, 64}),
+      phrase({in_span}),
+      phrase({in_span, 127}),
+      phrase({64, 128}, {0.0, 0.0}),
+      phrase({63, 127}, {1.0, -1.0}),
+      phrase({early}),
+      phrase({late}),
+      phrase({late, 128}),
+      phrase({63}),
+      phrase({64}),
+      phrase({127}),
+      phrase({128}),
+      phrase({63, 128}),
+      phrase({5, 127, 63}),
+      phrase({beyond}),
+      phrase({beyond, 64}),
+      phrase({128, early, 63, 5}),
+  };
+  // Each phrase alone, and all of them in one model.
+  std::vector<CandidateModel> models;
+  for (const CandidatePhrase& p : phrases) {
+    CandidateModel model;
+    model.phrases.push_back(p);
+    model.total_phrase_weight = 1.0;
+    models.push_back(std::move(model));
+  }
+  CandidateModel all;
+  all.phrases = phrases;
+  all.total_phrase_weight = static_cast<double>(phrases.size());
+  models.push_back(std::move(all));
+
+  size_t nonzero = 0;
+  for (ContextSimilarity::WordWeight mode : kWeightModes) {
+    const ContextSimilarity similarity(mode);
+    for (size_t d = 0; d < docs.size(); ++d) {
+      const std::pair<size_t, size_t> spans[] = {
+          {1, 2}, {0, 0}, {0, docs[d].size()}, {2, 4}, {3, 3}};
+      for (const auto& [begin, end] : spans) {
+        for (size_t m = 0; m < models.size(); ++m) {
+          const double got =
+              similarity.Score(contexts[d], begin, end, models[m]);
+          const double want =
+              OracleScore(oracles[d], begin, end, models[m], mode);
+          EXPECT_EQ(Bits(got), Bits(want))
+              << "document " << d << " span [" << begin << ", " << end
+              << ") model " << m;
+          if (want != 0.0) ++nonzero;
+        }
+      }
+    }
+  }
+  EXPECT_GT(nonzero, 100u);
+  // The word that occurs only inside the mention span scores nothing
+  // there, and something once the span moves off it.
+  const ContextSimilarity similarity;
+  EXPECT_EQ(similarity.Score(contexts.back(), 1, 2, models[3]), 0.0);
+  EXPECT_GT(similarity.Score(contexts.back(), 0, 0, models[3]), 0.0);
 }
 
 // ---- Milne-Witten -----------------------------------------------------------

@@ -5,9 +5,11 @@
 # promise/future handoffs and drain/shutdown paths are where lifetime
 # bugs would live, the snapshot and KB-format tests, the hashing and KORE
 # tests, whose per-thread scratch tables and published band-key arrays
-# index by computed offsets, and the graph tests, whose solver reads a
+# index by computed offsets, the graph tests, whose solver reads a
 # dense occurrence table and whose graph build reads the document entity
-# table's slots and kept-pair bitmap by computed offsets.
+# table's slots and kept-pair bitmap by computed offsets, and the core
+# tests, whose document word index reads its CSR positions at offsets
+# computed from a presence bitmap's bits and per-block ranks.
 # Also replays the tests/fuzz/corpus/ seed corpora (including every fixed
 # crasher) through the sanitized harness binaries, so corpus coverage gets
 # ASan/UBSan eyes even on machines without Clang/libFuzzer.
@@ -15,7 +17,7 @@
 #
 # Usage: tools/run_asan_tests.sh [extra gtest filter]
 #   BUILD_DIR=build-asan  override the build directory
-#   When a filter is given it is applied to all eight test binaries.
+#   When a filter is given it is applied to all nine test binaries.
 set -euo pipefail
 
 REPO_ROOT="$(cd "$(dirname "$0")/.." && pwd)"
@@ -26,13 +28,14 @@ SNAPSHOT_FILTER="${1:-*}"
 HASHING_FILTER="${1:-*}"
 KORE_FILTER="${1:-*}"
 GRAPH_FILTER="${1:-*}"
+CORE_FILTER="${1:-*}"
 
 cmake -B "$BUILD_DIR" -S "$REPO_ROOT" \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DAIDA_SANITIZE=address
 cmake --build "$BUILD_DIR" -j --target batch_test serve_test \
   snapshot_test kb_serialization_test flat_kb_test hashing_test kore_test \
-  graph_test \
+  graph_test core_test \
   fuzz_kb_serialization fuzz_flat_kb fuzz_wiki_importer fuzz_corpus_io fuzz_tokenizer
 
 # halt_on_error fails fast; detect_leaks guards the promise/future and
@@ -47,10 +50,11 @@ export UBSAN_OPTIONS="${UBSAN_OPTIONS:-halt_on_error=1:print_stacktrace=1}"
 "$BUILD_DIR/tests/hashing_test" --gtest_filter="$HASHING_FILTER"
 "$BUILD_DIR/tests/kore_test" --gtest_filter="$KORE_FILTER"
 "$BUILD_DIR/tests/graph_test" --gtest_filter="$GRAPH_FILTER"
+"$BUILD_DIR/tests/core_test" --gtest_filter="$CORE_FILTER"
 
 # Sanitized corpus replay (standalone driver; no Clang needed).
 for surface in kb_serialization flat_kb wiki_importer corpus_io tokenizer; do
   "$BUILD_DIR/tests/fuzz/fuzz_$surface" "$REPO_ROOT/tests/fuzz/corpus/$surface"
 done
 
-echo "ASan/UBSan batch/serve/snapshot/serialization/hashing/kore/graph tests and fuzz corpus replay passed: no memory errors reported."
+echo "ASan/UBSan batch/serve/snapshot/serialization/hashing/kore/graph/core tests and fuzz corpus replay passed: no memory errors reported."
