@@ -2,8 +2,13 @@
 // (KWCS, KPCS, MW, KORE, KORE-LSH-G, KORE-LSH-F) with the gold candidate
 // ranking, per domain, plus the link-poor-seed average where KORE's
 // advantage over the link-based MW measure shows.
+//
+// Exits nonzero unless the paper's shape holds: KPCS and KORE above MW on
+// the all-seeds average, KORE at least 0.1 above MW on link-poor seeds,
+// and KORE-LSH-G within 0.02 of exact KORE on all seeds.
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <map>
 #include <set>
@@ -151,5 +156,25 @@ int main() {
       "Paper shape: keyphrase measures (KPCS ~0.70, KORE ~0.67) beat MW\n"
       "(~0.61) overall; on link-poor seeds KORE leads (0.64 vs MW 0.51);\n"
       "KORE-LSH-G stays close to exact KORE, KORE-LSH-F degrades.\n");
+  const double mw_all = mean(all_seeds["MW"]);
+  const double kpcs_all = mean(all_seeds["KPCS"]);
+  const double kore_all = mean(all_seeds["KORE"]);
+  const double lsh_g_all = mean(all_seeds["KORE-LSH-G"]);
+  const double mw_poor = mean(link_poor["MW"]);
+  const double kore_poor = mean(link_poor["KORE"]);
+  const bool keyphrases_beat_mw = kpcs_all > mw_all && kore_all > mw_all;
+  const bool kore_leads_link_poor = kore_poor >= mw_poor + 0.1;
+  const bool lsh_g_tracks_kore = std::abs(lsh_g_all - kore_all) <= 0.02;
+  std::printf("  %s KPCS %.3f and KORE %.3f > MW %.3f (all seeds)\n",
+              keyphrases_beat_mw ? "PASS" : "FAIL", kpcs_all, kore_all,
+              mw_all);
+  std::printf("  %s KORE %.3f >= MW %.3f + 0.1 (link-poor seeds)\n",
+              kore_leads_link_poor ? "PASS" : "FAIL", kore_poor, mw_poor);
+  std::printf("  %s |KORE-LSH-G %.3f - KORE %.3f| <= 0.02 (all seeds)\n",
+              lsh_g_tracks_kore ? "PASS" : "FAIL", lsh_g_all, kore_all);
+  if (!keyphrases_beat_mw || !kore_leads_link_poor || !lsh_g_tracks_kore) {
+    std::fprintf(stderr, "paper shape check FAILED (see above)\n");
+    return 1;
+  }
   return 0;
 }

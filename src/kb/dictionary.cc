@@ -166,29 +166,6 @@ double Dictionary::MeanAmbiguity() const {
          static_cast<double>(view_.exact.name_count);
 }
 
-std::vector<Dictionary::AnchorRecord> Dictionary::ExportAnchors() const {
-  AIDA_DCHECK(finalized_);
-  std::vector<AnchorRecord> records;
-  records.reserve(view_.exact.candidate_offsets[view_.exact.name_count]);
-  for (uint64_t i = 0; i < view_.exact.name_count; ++i) {
-    const std::string name(TableName(view_.exact, i));
-    const size_t first = records.size();
-    for (uint64_t c = view_.exact.candidate_offsets[i];
-         c < view_.exact.candidate_offsets[i + 1]; ++c) {
-      records.push_back(
-          {name, view_.exact.candidates[c].entity,
-           view_.exact.candidates[c].anchor_count});
-    }
-    // Candidates are stored by descending count; the export contract is
-    // (name, entity) order.
-    std::sort(records.begin() + first, records.end(),
-              [](const AnchorRecord& a, const AnchorRecord& b) {
-                return a.entity < b.entity;
-              });
-  }
-  return records;
-}
-
 std::vector<std::string> Dictionary::AllNames() const {
   AIDA_DCHECK(finalized_);
   std::vector<std::string> names;

@@ -83,17 +83,6 @@ class AIDA_OWNER_TYPE Dictionary {
   /// All registered surface names, sorted (for corpus generation / stats).
   std::vector<std::string> AllNames() const;
 
-  /// One (name, entity, count) anchor observation; the dictionary is
-  /// fully reconstructible from these records (serialization support).
-  struct AnchorRecord {
-    std::string name;
-    EntityId entity = kNoEntity;
-    uint64_t count = 0;
-  };
-
-  /// Exports all anchor observations sorted by (name, entity).
-  std::vector<AnchorRecord> ExportAnchors() const;
-
   bool finalized() const { return finalized_; }
 
   // ---- Flat backing (internal, kb/flat) ----------------------------------

@@ -7,15 +7,14 @@
 
 namespace aida::kb::flat {
 
-/// First four bytes of a flat snapshot. Distinct from the v1 record-stream
-/// magic (0xA1DA4B42) so LoadKnowledgeBase can dispatch on the prefix.
+/// First four bytes of a flat snapshot.
 inline constexpr uint32_t kFlatMagic = 0xA1DAF1A7;
 
 /// Bumped whenever the section layout, the hash probing scheme, or the
-/// derived-weight formulas change. Unlike the v1 format — which stores
-/// source facts and recomputes weights on load — a flat snapshot persists
-/// the finalized arrays verbatim, so a loader must refuse files written
-/// by a different weighting scheme rather than silently serving them.
+/// derived-weight formulas change. A flat snapshot persists the finalized
+/// arrays verbatim — derived weights included, nothing is recomputed on
+/// load — so a loader must refuse files written by a different weighting
+/// scheme rather than silently serving them.
 inline constexpr uint32_t kFlatVersion = 1;
 
 /// Every section payload starts on an 8-byte boundary (relative to the

@@ -1,7 +1,6 @@
 #include "kb/flat/flat_snapshot.h"
 
 #include <cstdint>
-#include <cstdio>
 #include <cstring>
 #include <string>
 #include <unordered_set>
@@ -219,25 +218,6 @@ util::Status SaveFlatSnapshot(const KnowledgeBase& kb,
   return util::WriteFile(path, SerializeFlatSnapshot(kb));
 }
 
-bool LooksLikeFlatSnapshot(std::string_view data) {
-  if (data.size() < sizeof(uint32_t)) return false;
-  uint32_t magic = 0;
-  std::memcpy(&magic, data.data(), sizeof(magic));
-  return magic == kFlatMagic;
-}
-
-MagicProbe ProbeFileMagic(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) return MagicProbe::kUnreadable;
-  char prefix[sizeof(uint32_t)];
-  const size_t read = std::fread(prefix, 1, sizeof(prefix), f);
-  std::fclose(f);
-  if (read != sizeof(prefix)) return MagicProbe::kOther;
-  return LooksLikeFlatSnapshot(std::string_view(prefix, sizeof(prefix)))
-             ? MagicProbe::kFlat
-             : MagicProbe::kOther;
-}
-
 // ---------------------------------------------------------------------------
 // Loader
 // ---------------------------------------------------------------------------
@@ -398,8 +378,8 @@ util::Status LoadDictTable(const SectionTable& table, uint64_t name_count,
   }
   // Lookup dispatches on name length and the hash compares raw bytes, so
   // correctness only needs unique names; sortedness additionally makes
-  // AllNames/ExportAnchors deterministic and lets us verify uniqueness in
-  // one linear pass.
+  // AllNames deterministic and lets us verify uniqueness in one linear
+  // pass.
   for (uint64_t i = 0; i + 1 < name_count; ++i) {
     const std::string_view a(out->name_pool + out->name_offsets[i],
                              out->name_offsets[i + 1] - out->name_offsets[i]);

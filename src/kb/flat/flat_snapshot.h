@@ -10,21 +10,6 @@
 
 namespace aida::kb::flat {
 
-/// True when `data` starts with the flat-snapshot magic; used by
-/// LoadKnowledgeBase to dispatch between the v1 record stream and the
-/// flat format.
-bool LooksLikeFlatSnapshot(std::string_view data);
-
-enum class MagicProbe {
-  kFlat,        // file starts with the flat-snapshot magic
-  kOther,       // readable, but a different format
-  kUnreadable,  // missing or unreadable (callers surface the real error)
-};
-
-/// Reads just the 4-byte prefix of `path` to pick a load path without
-/// pulling the whole file into memory.
-MagicProbe ProbeFileMagic(const std::string& path);
-
 /// Serializes a finalized knowledge base into the flat snapshot format:
 /// a section table followed by the stores' flattened arrays, dumped
 /// verbatim. Derived weights (priors, MI, NPMI, IDF inputs) are stored,
@@ -32,7 +17,9 @@ MagicProbe ProbeFileMagic(const std::string& path);
 /// exactly the bytes the writer's knowledge base would have produced.
 std::string SerializeFlatSnapshot(const KnowledgeBase& kb);
 
-/// Convenience: SerializeFlatSnapshot to a file.
+/// Writes SerializeFlatSnapshot(kb) to `path`. The file is replaced, not
+/// rewritten in place (util::WriteFile), so a generation still serving an
+/// older snapshot mmap'd from `path` keeps reading the bytes it validated.
 util::Status SaveFlatSnapshot(const KnowledgeBase& kb,
                               const std::string& path);
 

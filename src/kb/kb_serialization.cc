@@ -1,268 +1,12 @@
 #include "kb/kb_serialization.h"
 
-#include <span>
-#include <unordered_set>
-#include <vector>
-
 #include "kb/flat/flat_snapshot.h"
-#include "kb/kb_builder.h"
-#include "util/serialize.h"
 
 namespace aida::kb {
 
-namespace {
-
-constexpr uint32_t kMagic = 0xA1DA4B42;
-constexpr uint32_t kVersion = 1;
-
-// KbBuilder enforces its preconditions with AIDA_CHECK (process abort), so
-// everything read from the untrusted buffer must be validated *before* it
-// reaches the builder — a corrupt snapshot must come back as an error
-// Status, never as a check failure. The fuzz_kb_serialization harness
-// hammers exactly this boundary.
-bool HasVisibleWord(std::string_view phrase) {
-  for (char c : phrase) {
-    if (c != ' ') return true;
-  }
-  return false;
-}
-
-}  // namespace
-
-std::string SerializeKnowledgeBase(const KnowledgeBase& kb) {
-  util::BinaryWriter writer;
-  writer.WriteU32(kMagic);
-  writer.WriteU32(kVersion);
-
-  // ---- Taxonomy -----------------------------------------------------------
-  const TypeTaxonomy& taxonomy = kb.taxonomy();
-  writer.WriteU64(taxonomy.size());
-  for (TypeId t = 0; t < taxonomy.size(); ++t) {
-    writer.WriteString(taxonomy.TypeName(t));
-    writer.WriteU32(taxonomy.Parent(t));
-  }
-
-  // ---- Entities -------------------------------------------------------------
-  const EntityRepository& entities = kb.entities();
-  writer.WriteU64(entities.size());
-  for (EntityId e = 0; e < entities.size(); ++e) {
-    const Entity& entity = entities.Get(e);
-    writer.WriteString(entity.canonical_name);
-    writer.WriteVector(entity.types);
-  }
-
-  // ---- Dictionary anchors -----------------------------------------------------
-  std::vector<Dictionary::AnchorRecord> anchors =
-      kb.dictionary().ExportAnchors();
-  writer.WriteU64(anchors.size());
-  for (const Dictionary::AnchorRecord& record : anchors) {
-    writer.WriteString(record.name);
-    writer.WriteU32(record.entity);
-    writer.WriteU64(record.count);
-  }
-
-  // ---- Keyphrases ---------------------------------------------------------------
-  const KeyphraseStore& store = kb.keyphrases();
-  // Phrase vocabulary as text; per-entity (phrase id, count) pairs.
-  writer.WriteU64(store.phrase_count());
-  for (PhraseId p = 0; p < store.phrase_count(); ++p) {
-    writer.WriteString(store.PhraseText(p));
-  }
-  writer.WriteU64(entities.size());
-  for (EntityId e = 0; e < entities.size(); ++e) {
-    const std::span<const PhraseId> phrases = store.EntityPhrases(e);
-    writer.WriteU64(phrases.size());
-    for (PhraseId p : phrases) {
-      writer.WriteU32(p);
-      writer.WriteU32(store.EntityPhraseCount(e, p));
-    }
-  }
-
-  // ---- Links ------------------------------------------------------------------
-  const LinkGraph& links = kb.links();
-  writer.WriteU64(links.link_count());
-  for (EntityId e = 0; e < entities.size(); ++e) {
-    for (EntityId target : links.OutLinks(e)) {
-      writer.WriteU32(e);
-      writer.WriteU32(target);
-    }
-  }
-
-  return std::move(writer).TakeBuffer();
-}
-
-util::StatusOr<std::unique_ptr<KnowledgeBase>> DeserializeKnowledgeBase(
-    std::string_view data) {
-  if (flat::LooksLikeFlatSnapshot(data)) {
-    return flat::LoadFlatSnapshotFromString(data);
-  }
-  util::BinaryReader reader(data);
-  uint32_t magic = 0;
-  uint32_t version = 0;
-  util::Status st = reader.ReadU32(&magic);
-  if (!st.ok()) return st;
-  if (magic != kMagic) {
-    return util::Status::InvalidArgument("not a serialized knowledge base");
-  }
-  st = reader.ReadU32(&version);
-  if (!st.ok()) return st;
-  if (version != kVersion) {
-    return util::Status::InvalidArgument("unsupported format version");
-  }
-
-  KbBuilder builder;
-
-  // ---- Taxonomy -----------------------------------------------------------
-  uint64_t type_count = 0;
-  st = reader.ReadU64(&type_count);
-  if (!st.ok()) return st;
-  std::unordered_set<std::string> seen_type_names;
-  for (uint64_t t = 0; t < type_count; ++t) {
-    std::string name;
-    uint32_t parent = kNoType;
-    st = reader.ReadString(&name);
-    if (!st.ok()) return st;
-    st = reader.ReadU32(&parent);
-    if (!st.ok()) return st;
-    if (parent != kNoType && parent >= t) {
-      return util::Status::InvalidArgument("taxonomy parent out of order");
-    }
-    if (!seen_type_names.insert(name).second) {
-      return util::Status::InvalidArgument("duplicate type name: " + name);
-    }
-    builder.AddType(std::move(name), parent);
-  }
-
-  // ---- Entities -------------------------------------------------------------
-  uint64_t entity_count = 0;
-  st = reader.ReadU64(&entity_count);
-  if (!st.ok()) return st;
-  std::unordered_set<std::string> seen_entity_names;
-  for (uint64_t e = 0; e < entity_count; ++e) {
-    std::string name;
-    std::vector<TypeId> types;
-    st = reader.ReadString(&name);
-    if (!st.ok()) return st;
-    st = reader.ReadVector(&types);
-    if (!st.ok()) return st;
-    if (!seen_entity_names.insert(name).second) {
-      return util::Status::InvalidArgument("duplicate entity name: " + name);
-    }
-    EntityId id = builder.AddEntity(std::move(name));
-    for (TypeId t : types) {
-      if (t >= type_count) {
-        return util::Status::InvalidArgument("entity type out of range");
-      }
-      builder.AssignType(id, t);
-    }
-  }
-
-  // ---- Anchors ------------------------------------------------------------------
-  uint64_t anchor_count = 0;
-  st = reader.ReadU64(&anchor_count);
-  if (!st.ok()) return st;
-  for (uint64_t a = 0; a < anchor_count; ++a) {
-    std::string name;
-    uint32_t entity = kNoEntity;
-    uint64_t count = 0;
-    st = reader.ReadString(&name);
-    if (!st.ok()) return st;
-    st = reader.ReadU32(&entity);
-    if (!st.ok()) return st;
-    st = reader.ReadU64(&count);
-    if (!st.ok()) return st;
-    if (entity >= entity_count) {
-      return util::Status::InvalidArgument("anchor entity out of range");
-    }
-    builder.AddName(name, entity, count);
-  }
-
-  // ---- Keyphrases ---------------------------------------------------------------
-  uint64_t phrase_count = 0;
-  st = reader.ReadU64(&phrase_count);
-  if (!st.ok()) return st;
-  // Every phrase costs at least its 8-byte length prefix; a count beyond
-  // that bound is a corrupt header and must not reach reserve().
-  if (phrase_count > reader.Remaining() / sizeof(uint64_t)) {
-    return util::Status::InvalidArgument("phrase count exceeds payload");
-  }
-  std::vector<std::string> phrase_texts;
-  phrase_texts.reserve(phrase_count);
-  for (uint64_t p = 0; p < phrase_count; ++p) {
-    std::string text;
-    st = reader.ReadString(&text);
-    if (!st.ok()) return st;
-    // KeyphraseStore interns on space-split words and checks the result is
-    // non-empty; an all-space phrase would trip that internal invariant.
-    if (!HasVisibleWord(text)) {
-      return util::Status::InvalidArgument("empty keyphrase text");
-    }
-    phrase_texts.push_back(std::move(text));
-  }
-  uint64_t phrase_entities = 0;
-  st = reader.ReadU64(&phrase_entities);
-  if (!st.ok()) return st;
-  if (phrase_entities != entity_count) {
-    return util::Status::InvalidArgument("entity count mismatch");
-  }
-  for (uint64_t e = 0; e < entity_count; ++e) {
-    uint64_t n = 0;
-    st = reader.ReadU64(&n);
-    if (!st.ok()) return st;
-    for (uint64_t i = 0; i < n; ++i) {
-      uint32_t phrase = 0;
-      uint32_t count = 0;
-      st = reader.ReadU32(&phrase);
-      if (!st.ok()) return st;
-      st = reader.ReadU32(&count);
-      if (!st.ok()) return st;
-      if (phrase >= phrase_count) {
-        return util::Status::InvalidArgument("phrase id out of range");
-      }
-      builder.AddKeyphrase(static_cast<EntityId>(e), phrase_texts[phrase],
-                           count);
-    }
-  }
-
-  // ---- Links ------------------------------------------------------------------
-  uint64_t link_count = 0;
-  st = reader.ReadU64(&link_count);
-  if (!st.ok()) return st;
-  for (uint64_t l = 0; l < link_count; ++l) {
-    uint32_t source = 0;
-    uint32_t target = 0;
-    st = reader.ReadU32(&source);
-    if (!st.ok()) return st;
-    st = reader.ReadU32(&target);
-    if (!st.ok()) return st;
-    if (source >= entity_count || target >= entity_count) {
-      return util::Status::InvalidArgument("link endpoint out of range");
-    }
-    builder.AddLink(source, target);
-  }
-
-  if (!reader.AtEnd()) {
-    return util::Status::InvalidArgument("trailing bytes after payload");
-  }
-  return std::move(builder).Build();
-}
-
-util::Status SaveKnowledgeBase(const KnowledgeBase& kb,
-                               const std::string& path) {
-  return util::WriteFile(path, SerializeKnowledgeBase(kb));
-}
-
 util::StatusOr<std::unique_ptr<KnowledgeBase>> LoadKnowledgeBase(
     const std::string& path) {
-  // Sniff the magic so flat snapshots take the zero-copy mmap path instead
-  // of being read into a string and copied again.
-  {
-    flat::MagicProbe probe = flat::ProbeFileMagic(path);
-    if (probe == flat::MagicProbe::kFlat) return flat::LoadFlatSnapshot(path);
-  }
-  util::StatusOr<std::string> data = util::ReadFile(path);
-  if (!data.ok()) return data.status();
-  return DeserializeKnowledgeBase(*data);
+  return flat::LoadFlatSnapshot(path);
 }
 
 }  // namespace aida::kb

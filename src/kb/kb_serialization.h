@@ -3,34 +3,18 @@
 
 #include <memory>
 #include <string>
-#include <string_view>
 
 #include "kb/knowledge_base.h"
 #include "util/status.h"
 
 namespace aida::kb {
 
-/// Serializes a knowledge base into a self-contained binary buffer. Only
-/// the source facts are stored (entities, anchors, keyphrases, links,
-/// taxonomy); all derived statistics (IDF, NPMI, MI weights) are
-/// recomputed deterministically on load, so the format stays stable as
-/// weighting schemes evolve.
-std::string SerializeKnowledgeBase(const KnowledgeBase& kb);
-
-/// Reconstructs a knowledge base from a buffer produced by
-/// SerializeKnowledgeBase — or, detected by magic prefix, from a flat
-/// snapshot (kb/flat/flat_snapshot.h), in which case the buffer is copied
-/// into aligned storage first. Fails cleanly on truncated or corrupt
-/// input.
-util::StatusOr<std::unique_ptr<KnowledgeBase>> DeserializeKnowledgeBase(
-    std::string_view data);
-
-/// Convenience: serialize to / load from a file. LoadKnowledgeBase
-/// dispatches on the magic prefix: flat snapshots are mmap'd and served
-/// zero-copy, v1 record streams are parsed and rebuilt. SnapshotRegistry
-/// reloads therefore publish either format transparently.
-util::Status SaveKnowledgeBase(const KnowledgeBase& kb,
-                               const std::string& path);
+/// Loads a knowledge base file: the one loader every caller (the CLI,
+/// SnapshotRegistry::ReloadFromFile, the serving benchmark) goes through,
+/// so none of them names the on-disk format. Files are flat snapshots
+/// (kb/flat/flat_snapshot.h, written by flat::SaveFlatSnapshot), mmap'd
+/// and served zero-copy. A missing, truncated or corrupt file, or one in
+/// any other format, yields an error Status.
 util::StatusOr<std::unique_ptr<KnowledgeBase>> LoadKnowledgeBase(
     const std::string& path);
 

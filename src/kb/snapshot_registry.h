@@ -88,7 +88,7 @@ class KbSnapshot {
   /// time (1 for the first generation).
   uint64_t generation() const { return generation_; }
 
-  /// Human-readable provenance ("file:/path/world.kb", "builder:regrow",
+  /// Human-readable provenance ("file:/path/world.fkb", "builder:regrow",
   /// ...), for logs and service introspection.
   const std::string& source() const { return source_; }
 
@@ -181,7 +181,8 @@ class SnapshotRegistry {
       std::shared_ptr<const core::NedSystem> system, std::string source)
       AIDA_EXCLUDES(publish_mutex_);
 
-  /// Reload from a serialized KB file (SaveKnowledgeBase format).
+  /// Reload from a flat KB snapshot file (flat::SaveFlatSnapshot), loaded
+  /// by LoadKnowledgeBase.
   util::StatusOr<std::shared_ptr<const KbSnapshot>> ReloadFromFile(
       const std::string& path) AIDA_EXCLUDES(publish_mutex_);
 

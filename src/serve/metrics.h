@@ -142,8 +142,8 @@ struct ServiceMetricsSnapshot {
 /// Layout is the whole point. The registry used to be one block of
 /// globally shared atomics plus three shared 91-bucket histograms; at 8
 /// workers every Record/fetch_add bounced the same cache lines between
-/// cores, one visible slice of the negative worker scaling in
-/// BENCH_serve.json. Now:
+/// cores, one visible slice of the negative worker scaling that
+/// ServeScalingTest now guards. Now:
 ///
 ///  * worker-side events (started / completed / failed / expired /
 ///    cancelled, and all three histograms) go to a per-worker,

@@ -108,7 +108,7 @@ struct NedServiceSnapshot {
 ///   NedService service(registry, {.num_threads = 8, .queue_capacity = 64});
 ///   std::future<ServeResult> f = service.Submit(problem, {.deadline_seconds = 0.05});
 ///   ServeResult r = f.get();           // r.status + r.generation
-///   registry->ReloadFromFile("world_v2.kb");   // zero downtime
+///   registry->ReloadFromFile("world_v2.fkb");  // zero downtime
 ///
 /// Guarantees:
 ///  * Submit never blocks: a request is admitted or its future completes

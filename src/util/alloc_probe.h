@@ -43,7 +43,7 @@ struct AllocProbeCounters {
 
 /// True when the interposed operator new/delete is live in this binary.
 /// False under sanitizers or when the probe was compiled out — callers
-/// (tests, bench_serve) must treat counters as meaningless then.
+/// (tests, nedbench) must treat counters as meaningless then.
 bool AllocProbeAvailable();
 
 /// Cumulative counters of the calling thread since thread start.

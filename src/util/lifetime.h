@@ -24,10 +24,10 @@
 ///    the aliased object — for member functions that is a trailing
 ///    annotation binding the implicit `this`;
 ///  * structs that aggregate raw pointers/views into storage they do not
-///    own (the kb/flat `FlatView`s, `BinaryReader`, …) are declared
-///    `struct AIDA_VIEW_TYPE Name`; the view-storage lint exempts such
-///    types from the "no views in members" rule, because a view-of-views
-///    dies with the same pin;
+///    own (the kb/flat `FlatView`s, the flat loader's `SectionTable`)
+///    are declared `struct AIDA_VIEW_TYPE Name`; the view-storage lint
+///    exempts such types from the "no views in members" rule, because a
+///    view-of-views dies with the same pin;
 ///  * classes that own the bytes their accessors alias (the KB stores,
 ///    `MappedFile`) are declared `class AIDA_OWNER_TYPE Name`, which
 ///    lets Clang flag a view initialized from a temporary owner.

@@ -1,135 +1,18 @@
 #ifndef AIDA_UTIL_SERIALIZE_H_
 #define AIDA_UTIL_SERIALIZE_H_
 
-#include <cstddef>
-#include <cstdint>
-#include <cstring>
 #include <string>
-#include <vector>
 
-#include "util/lifetime.h"
 #include "util/status.h"
 
 namespace aida::util {
 
-/// Append-only binary encoder for fixed-width integers, doubles, strings,
-/// and vectors thereof. Produces a byte buffer `BinaryReader` can decode.
-/// Little-endian, no alignment padding.
-class BinaryWriter {
- public:
-  void WriteU32(uint32_t v) { WriteRaw(&v, sizeof(v)); }
-  void WriteU64(uint64_t v) { WriteRaw(&v, sizeof(v)); }
-  void WriteI64(int64_t v) { WriteRaw(&v, sizeof(v)); }
-  void WriteDouble(double v) { WriteRaw(&v, sizeof(v)); }
-
-  void WriteString(const std::string& s) {
-    WriteU64(s.size());
-    WriteRaw(s.data(), s.size());
-  }
-
-  template <typename T>
-  void WriteVector(const std::vector<T>& v) {
-    static_assert(std::is_trivially_copyable_v<T>);
-    WriteU64(v.size());
-    WriteRaw(v.data(), v.size() * sizeof(T));
-  }
-
-  void WriteStringVector(const std::vector<std::string>& v) {
-    WriteU64(v.size());
-    for (const auto& s : v) WriteString(s);
-  }
-
-  const std::string& buffer() const AIDA_LIFETIME_BOUND { return buffer_; }
-  std::string&& TakeBuffer() { return std::move(buffer_); }
-
- private:
-  void WriteRaw(const void* data, size_t n) {
-    buffer_.append(static_cast<const char*>(data), n);
-  }
-
-  std::string buffer_;
-};
-
-/// Sequential decoder over a byte buffer produced by `BinaryWriter`.
-/// All reads return an error Status on truncated input instead of
-/// reading out of bounds. A view type: it aliases `data` without owning
-/// it, so the buffer must outlive the reader.
-class AIDA_VIEW_TYPE BinaryReader {
- public:
-  explicit BinaryReader(std::string_view data AIDA_LIFETIME_BOUND)
-      : data_(data) {}
-
-  Status ReadU32(uint32_t* v) { return ReadRaw(v, sizeof(*v)); }
-  Status ReadU64(uint64_t* v) { return ReadRaw(v, sizeof(*v)); }
-  Status ReadI64(int64_t* v) { return ReadRaw(v, sizeof(*v)); }
-  Status ReadDouble(double* v) { return ReadRaw(v, sizeof(*v)); }
-
-  Status ReadString(std::string* s) {
-    uint64_t n = 0;
-    Status st = ReadU64(&n);
-    if (!st.ok()) return st;
-    if (n > Remaining()) return Truncated();
-    s->assign(data_.substr(pos_, n));
-    pos_ += n;
-    return Status::Ok();
-  }
-
-  template <typename T>
-  Status ReadVector(std::vector<T>* v) {
-    static_assert(std::is_trivially_copyable_v<T>);
-    uint64_t n = 0;
-    Status st = ReadU64(&n);
-    if (!st.ok()) return st;
-    // Divide instead of multiplying: n comes from untrusted input, and
-    // n * sizeof(T) can wrap uint64 past the bound check (then resize(n)
-    // would attempt a huge allocation).
-    if (n > Remaining() / sizeof(T)) return Truncated();
-    v->resize(n);
-    return ReadRaw(v->data(), n * sizeof(T));
-  }
-
-  Status ReadStringVector(std::vector<std::string>* v) {
-    uint64_t n = 0;
-    Status st = ReadU64(&n);
-    if (!st.ok()) return st;
-    // Each element needs at least its 8-byte length prefix, so a count
-    // beyond Remaining()/8 is corrupt; checking before reserve() keeps a
-    // forged header from forcing a multi-gigabyte allocation.
-    if (n > Remaining() / sizeof(uint64_t)) return Truncated();
-    v->clear();
-    v->reserve(n);
-    for (uint64_t i = 0; i < n; ++i) {
-      std::string s;
-      st = ReadString(&s);
-      if (!st.ok()) return st;
-      v->push_back(std::move(s));
-    }
-    return Status::Ok();
-  }
-
-  bool AtEnd() const { return pos_ == data_.size(); }
-  size_t Remaining() const { return data_.size() - pos_; }
-
- private:
-  Status ReadRaw(void* out, size_t n) {
-    if (n > Remaining()) return Truncated();
-    // memcpy declares its pointers nonnull even for n == 0, and an empty
-    // vector's data() may be null — skip the call instead of passing it.
-    if (n == 0) return Status::Ok();
-    std::memcpy(out, data_.data() + pos_, n);
-    pos_ += n;
-    return Status::Ok();
-  }
-
-  static Status Truncated() {
-    return Status::IoError("truncated serialized data");
-  }
-
-  std::string_view data_;
-  size_t pos_ = 0;
-};
-
-/// Writes `data` to `path`, replacing any existing file.
+/// Writes `data` to `path`, replacing any existing file. The bytes go to
+/// a uniquely named sibling file first, which is then renamed over
+/// `path`, so the old file is never truncated in place: a process that
+/// has it mmap'd (a live KB generation) keeps reading intact bytes. The
+/// sibling is created with the default mode (0666 less the umask) and
+/// removed again on any failure.
 Status WriteFile(const std::string& path, const std::string& data);
 
 /// Reads the full contents of `path`.

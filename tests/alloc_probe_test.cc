@@ -338,12 +338,12 @@ TEST(AllocProbeTest, WarmCachedRequestStaysWithinAllocationBound) {
 
   // Committed steady-state bound for the TestWorld documents (150 tokens,
   // ~7 entities). The residual traffic is per-request result assembly and
-  // per-document graph scratch — measured well under half this bound on
-  // the reference toolchain; the headroom absorbs library differences,
-  // not new per-pair or per-lookup churn, which would blow through it.
-  // Raising the bound requires explaining which new allocation is
-  // justified (see DESIGN.md §6).
-  constexpr double kAllocsPerRequestBound = 20000.0;
+  // per-document graph scratch: 713.25 allocations per request (2,853
+  // over these four documents) in the default RelWithDebInfo build with
+  // GCC 12. The bound is under twice that, so library differences fit
+  // but new per-pair or per-lookup churn does not. Raising it requires
+  // explaining which new allocation is justified (see DESIGN.md §6).
+  constexpr double kAllocsPerRequestBound = 1400.0;
   EXPECT_LE(per_request, kAllocsPerRequestBound)
       << "steady-state allocations per warm cached request regressed";
   // Steady state also means no monotone growth: frees keep pace with

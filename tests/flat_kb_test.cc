@@ -4,6 +4,8 @@
 // knowledge bases, and registry publication of flat snapshot files.
 
 #include <algorithm>
+#include <cstdint>
+#include <cstdio>
 #include <cstring>
 #include <memory>
 #include <span>
@@ -180,29 +182,43 @@ TEST(FlatKbTest, DisambiguationIsByteIdenticalToHeap) {
   }
 }
 
-TEST(FlatKbTest, DeserializeKnowledgeBaseAutodetectsFlatMagic) {
-  EXPECT_TRUE(flat::LooksLikeFlatSnapshot(FlatBytes()));
-  EXPECT_FALSE(flat::LooksLikeFlatSnapshot(SerializeKnowledgeBase(HeapKb())));
-  auto loaded = DeserializeKnowledgeBase(FlatBytes());
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  EXPECT_TRUE((*loaded)->flat_backed());
-  EXPECT_EQ((*loaded)->entity_count(), HeapKb().entity_count());
-}
-
 TEST(FlatKbTest, FileRoundTripUsesMmap) {
   const std::string path = ::testing::TempDir() + "/flat_kb_test.fkb";
   ASSERT_TRUE(flat::SaveFlatSnapshot(HeapKb(), path).ok());
-  EXPECT_EQ(flat::ProbeFileMagic(path), flat::MagicProbe::kFlat);
 
   auto direct = flat::LoadFlatSnapshot(path);
   ASSERT_TRUE(direct.ok()) << direct.status().ToString();
   EXPECT_TRUE((*direct)->flat_backed());
   EXPECT_EQ((*direct)->entity_count(), HeapKb().entity_count());
 
-  // The generic loader dispatches on the magic prefix.
+  // The one file loader serves the same mapping.
   auto generic = LoadKnowledgeBase(path);
   ASSERT_TRUE(generic.ok()) << generic.status().ToString();
   EXPECT_TRUE((*generic)->flat_backed());
+}
+
+TEST(FlatKbTest, SavingOverAMappedFileLeavesTheLoadedKbIntact) {
+  // Regenerate-then-reload saves the new KB to the path a live
+  // generation has mmap'd. Truncating that file in place would shrink
+  // the mapping under the live KB (SIGBUS on its next read past the new
+  // end) or hand it bytes that were never validated; the save must
+  // replace the file instead.
+  const std::string path = ::testing::TempDir() + "/flat_kb_overwrite.fkb";
+  ASSERT_TRUE(flat::SaveFlatSnapshot(HeapKb(), path).ok());
+  auto live = LoadKnowledgeBase(path);
+  ASSERT_TRUE(live.ok()) << live.status().ToString();
+
+  KbBuilder builder;
+  const EntityId solo = builder.AddEntity("Solo");
+  builder.AddName("Solo", solo, 1);
+  ASSERT_TRUE(flat::SaveFlatSnapshot(*std::move(builder).Build(), path).ok());
+
+  // Re-serializing reads every array of the live KB: bit-identical.
+  EXPECT_EQ(flat::SerializeFlatSnapshot(**live), FlatBytes());
+  auto saved = LoadKnowledgeBase(path);
+  ASSERT_TRUE(saved.ok()) << saved.status().ToString();
+  EXPECT_EQ((*saved)->entity_count(), 1u);
+  std::remove(path.c_str());
 }
 
 TEST(FlatKbTest, SnapshotRegistryPublishesFlatFile) {
@@ -235,9 +251,13 @@ TEST(FlatKbTest, RejectsUnalignedBuffer) {
 TEST(FlatKbTest, RejectsGarbageAndEmpty) {
   EXPECT_FALSE(flat::LoadFlatSnapshotFromString("").ok());
   EXPECT_FALSE(flat::LoadFlatSnapshotFromString("garbage bytes here").ok());
-  // v1 stream bytes are not a flat snapshot.
-  EXPECT_FALSE(
-      flat::LoadFlatSnapshotFromString(SerializeKnowledgeBase(HeapKb())).ok());
+  // The retired v1 record stream began with its own magic, 0xA1DA4B42.
+  std::string v1 = FlatBytes();
+  const uint32_t v1_magic = 0xA1DA4B42;
+  std::memcpy(v1.data(), &v1_magic, sizeof(v1_magic));
+  auto result = flat::LoadFlatSnapshotFromString(v1);
+  ASSERT_FALSE(result.ok());
+  EXPECT_NE(result.status().ToString().find("magic"), std::string::npos);
 }
 
 TEST(FlatKbTest, RejectsVersionMismatch) {

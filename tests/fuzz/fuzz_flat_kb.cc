@@ -1,5 +1,5 @@
-// Fuzz target for the flat (mmap-able) KB snapshot loader. Like the v1
-// stream deserializer, this is a hot-reload surface: SnapshotRegistry
+// Fuzz target for the flat (mmap-able) KB snapshot loader, the one KB
+// file format and a hot-reload surface: SnapshotRegistry
 // maps these bytes straight into a serving process, and the loader's
 // views alias the input buffer directly, so an unvalidated offset or
 // hash slot would be an out-of-bounds read in production. Contract:

@@ -12,7 +12,7 @@
 #include "core/relatedness.h"
 #include "core/robustness.h"
 #include "graph/dense_subgraph.h"
-#include "kb/kb_serialization.h"
+#include "kb/flat/flat_snapshot.h"
 #include "kore/keyterm_cosine.h"
 #include "kore/kore_lsh.h"
 #include "kore/kore_relatedness.h"
@@ -211,13 +211,13 @@ TEST_P(WorldPropertyTest, GeneratedCorpusIsWellFormed) {
 
 TEST_P(WorldPropertyTest, SerializationRoundTripsAcrossSeeds) {
   std::string buffer =
-      kb::SerializeKnowledgeBase(*world_.knowledge_base);
-  auto loaded = kb::DeserializeKnowledgeBase(buffer);
-  ASSERT_TRUE(loaded.ok());
+      kb::flat::SerializeFlatSnapshot(*world_.knowledge_base);
+  auto loaded = kb::flat::LoadFlatSnapshotFromString(buffer);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   EXPECT_EQ((*loaded)->entity_count(),
             world_.knowledge_base->entity_count());
   // Serialization is deterministic.
-  EXPECT_EQ(kb::SerializeKnowledgeBase(**loaded), buffer);
+  EXPECT_EQ(kb::flat::SerializeFlatSnapshot(**loaded), buffer);
 }
 
 // ---- Dense subgraph invariants (random instances) -----------------------------------------

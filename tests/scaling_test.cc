@@ -2,19 +2,21 @@
 // test rides with fixed a negative-scaling bug: shared-state contention
 // (per-dequeue snapshot pins, global metrics atomics, hot cache shards,
 // allocation churn) made a multi-worker NedService SLOWER than a single
-// worker. This test pins the sign of the curve — more workers must never
+// worker. These tests pin the sign of the curve — more workers must never
 // again mean less throughput — without asserting linearity, which no
 // ctest-tier machine can promise.
 //
-// The served system burns a fixed arithmetic quantum per request, so
-// throughput depends only on how well workers overlap; real-machine
-// noise is absorbed by the generous 0.8x floor. On machines with fewer
-// than four hardware threads there is nothing to overlap and the test
-// skips itself.
+// Two inputs. FixedCostSystem burns a fixed arithmetic quantum per
+// request, so its throughput depends only on how well workers overlap;
+// real-machine noise is absorbed by a generous 0.8x floor. Aida behind
+// one shared RelatednessCache over the TestWorld documents adds what a
+// real request shares across workers (the cache shards, the KB, the
+// allocator) under a 0.7x floor. On machines with fewer than four
+// hardware threads there is nothing to overlap and the tests skip
+// themselves.
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -22,9 +24,14 @@
 #include <thread>
 #include <vector>
 
+#include "core/aida.h"
+#include "core/candidates.h"
 #include "core/ned_system.h"
+#include "core/relatedness.h"
+#include "core/relatedness_cache.h"
 #include "kb/snapshot_registry.h"
 #include "serve/ned_service.h"
+#include "test_world.h"
 #include "util/stopwatch.h"
 
 namespace aida::serve {
@@ -60,24 +67,30 @@ class FixedCostSystem : public core::NedSystem {
   const uint64_t spin_iterations_;
 };
 
+core::DisambiguationProblem ToProblem(const corpus::Document& doc) {
+  core::DisambiguationProblem problem;
+  problem.tokens = &doc.tokens;
+  for (const corpus::GoldMention& gm : doc.mentions) {
+    core::ProblemMention pm;
+    pm.surface = gm.surface;
+    pm.begin_token = gm.begin_token;
+    pm.end_token = gm.end_token;
+    problem.mentions.push_back(std::move(pm));
+  }
+  return problem;
+}
+
 /// Closed-loop QPS of `system` behind a NedService with `workers` worker
-/// threads and 4x that many single-outstanding-request clients.
-double MeasureQps(const core::NedSystem& system, size_t workers,
-                  double duration_seconds) {
+/// threads and 4x that many single-outstanding-request clients, each
+/// cycling through `work` from its own offset.
+double MeasureQps(const core::NedSystem& system,
+                  const std::vector<core::DisambiguationProblem>& work,
+                  size_t workers, double duration_seconds) {
   NedServiceOptions options;
   options.num_threads = workers;
   options.queue_capacity = 64;
   NedService service(kb::KbSnapshot::WrapUnowned(system, "scaling-test"),
                      options);
-
-  static const std::vector<std::string> kTokens = {"scaling"};
-  core::DisambiguationProblem problem;
-  problem.tokens = &kTokens;
-  core::ProblemMention mention;
-  mention.surface = "scaling";
-  mention.begin_token = 0;
-  mention.end_token = 1;
-  problem.mentions.push_back(mention);
 
   std::atomic<bool> stop{false};
   std::atomic<uint64_t> completed{0};
@@ -86,9 +99,9 @@ double MeasureQps(const core::NedSystem& system, size_t workers,
   clients.reserve(num_clients);
   util::Stopwatch watch;
   for (size_t c = 0; c < num_clients; ++c) {
-    clients.emplace_back([&] {
-      while (!stop.load(std::memory_order_relaxed)) {
-        ServeResult response = service.Submit(problem).get();
+    clients.emplace_back([&, c] {
+      for (size_t next = c; !stop.load(std::memory_order_relaxed); ++next) {
+        ServeResult response = service.Submit(work[next % work.size()]).get();
         if (response.status.ok()) {
           completed.fetch_add(1, std::memory_order_relaxed);
         }
@@ -104,30 +117,65 @@ double MeasureQps(const core::NedSystem& system, size_t workers,
   return elapsed > 0.0 ? static_cast<double>(completed.load()) / elapsed : 0.0;
 }
 
-TEST(ServeScalingTest, MultiWorkerThroughputNotBelowSingleWorker) {
-  const unsigned hw = std::thread::hardware_concurrency();
-  if (hw < 4) {
-    GTEST_SKIP() << "needs >= 4 hardware threads to measure scaling, have "
-                 << hw;
-  }
+/// Warms up, then measures `system` at one worker and at four. The
+/// regression this guards: ADDING workers LOSING throughput; the pre-fix
+/// service sat far below any floor here (multi-worker QPS under half of
+/// one worker).
+void ExpectNoNegativeScaling(
+    const core::NedSystem& system,
+    const std::vector<core::DisambiguationProblem>& work, double floor) {
+  constexpr size_t kMultiWorkers = 4;
+  // Warm-up run absorbs thread-pool and allocator cold starts (and fills
+  // a relatedness cache the system reads through).
+  (void)MeasureQps(system, work, 1, /*duration_seconds=*/0.2);
+  const double single_qps = MeasureQps(system, work, 1, 1.0);
+  const double multi_qps = MeasureQps(system, work, kMultiWorkers, 1.0);
 
+  ASSERT_GT(single_qps, 0.0);
+  EXPECT_GE(multi_qps, floor * single_qps)
+      << kMultiWorkers << " workers served " << multi_qps << " QPS vs "
+      << single_qps << " QPS single-worker: negative scaling regression";
+}
+
+class ServeScalingTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    const unsigned hw = std::thread::hardware_concurrency();
+    if (hw < 4) {
+      GTEST_SKIP() << "needs >= 4 hardware threads to measure scaling, have "
+                   << hw;
+    }
+  }
+};
+
+TEST_F(ServeScalingTest, MultiWorkerThroughputNotBelowSingleWorker) {
   // ~200us per request: long enough that serving-layer overhead is a
   // small fraction, short enough for thousands of requests per second.
   FixedCostSystem system(/*spin_iterations=*/200'000);
+  static const std::vector<std::string> kTokens = {"scaling"};
+  core::DisambiguationProblem problem;
+  problem.tokens = &kTokens;
+  core::ProblemMention mention;
+  mention.surface = "scaling";
+  mention.begin_token = 0;
+  mention.end_token = 1;
+  problem.mentions.push_back(mention);
+  ExpectNoNegativeScaling(system, {problem}, /*floor=*/0.8);
+}
 
-  const size_t multi = std::min<size_t>(4, hw);
-  // Warm-up run absorbs thread-pool and allocator cold starts.
-  (void)MeasureQps(system, 1, /*duration_seconds=*/0.2);
-  const double single_qps = MeasureQps(system, 1, /*duration_seconds=*/1.0);
-  const double multi_qps = MeasureQps(system, multi, /*duration_seconds=*/1.0);
-
-  ASSERT_GT(single_qps, 0.0);
-  // The regression this guards: ADDING workers LOSING throughput. 0.8x
-  // tolerates scheduler noise on busy CI machines; the pre-fix service
-  // sat far below this line (multi-worker QPS under half of one worker).
-  EXPECT_GE(multi_qps, 0.8 * single_qps)
-      << multi << " workers served " << multi_qps << " QPS vs " << single_qps
-      << " QPS single-worker: negative scaling regression";
+TEST_F(ServeScalingTest, CachedAidaThroughputNotBelowSingleWorker) {
+  const ::aida::testing::TestWorld& world = ::aida::testing::TestWorld::Get();
+  const kb::KnowledgeBase* kb = world.world.knowledge_base.get();
+  core::CandidateModelStore models(kb);
+  core::MilneWittenRelatedness mw(kb);
+  core::RelatednessCache cache;
+  core::CachedRelatednessMeasure cached_mw(&mw, &cache);
+  core::Aida aida(&models, &cached_mw, core::AidaOptions());
+  std::vector<core::DisambiguationProblem> work;
+  for (const corpus::Document& doc : world.corpus) {
+    work.push_back(ToProblem(doc));
+  }
+  ExpectNoNegativeScaling(aida, work, /*floor=*/0.7);
 }
 
 }  // namespace

@@ -8,9 +8,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <cstdio>
 #include <future>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -18,8 +20,8 @@
 #include <utility>
 #include <vector>
 
+#include "kb/flat/flat_snapshot.h"
 #include "kb/kb_builder.h"
-#include "kb/kb_serialization.h"
 #include "kb/snapshot_registry.h"
 #include "serve/ned_service.h"
 #include "test_world.h"
@@ -29,11 +31,16 @@ namespace {
 
 using ::aida::testing::TestWorld;
 
-/// A fresh, owned copy of the TestWorld KB via a serialization round
-/// trip (the singleton's KB cannot be shared into a snapshot).
+/// A fresh, owned copy of the TestWorld KB via a flat round trip (the
+/// singleton's KB cannot be shared into a snapshot); also passed to
+/// ReloadFromBuilder as the callback.
+util::StatusOr<std::unique_ptr<KnowledgeBase>> FlatCopyOfTestKb() {
+  return flat::LoadFlatSnapshotFromString(
+      flat::SerializeFlatSnapshot(*TestWorld::Get().world.knowledge_base));
+}
+
 std::shared_ptr<const KnowledgeBase> CloneTestKb() {
-  const KnowledgeBase& kb = *TestWorld::Get().world.knowledge_base;
-  auto restored = DeserializeKnowledgeBase(SerializeKnowledgeBase(kb));
+  auto restored = FlatCopyOfTestKb();
   AIDA_CHECK(restored.ok());
   return std::shared_ptr<const KnowledgeBase>(std::move(restored.value()));
 }
@@ -117,13 +124,7 @@ TEST(SnapshotRegistryTest, PublishAndReloadBumpGenerations) {
   EXPECT_EQ((*first)->generation(), 1u);
   EXPECT_EQ(registry.Current(), *first);
 
-  auto second = registry.ReloadFromBuilder(
-      [] {
-        return util::StatusOr<std::unique_ptr<KnowledgeBase>>(
-            DeserializeKnowledgeBase(SerializeKnowledgeBase(
-                *TestWorld::Get().world.knowledge_base)));
-      },
-      "builder:regrow");
+  auto second = registry.ReloadFromBuilder(FlatCopyOfTestKb, "builder:regrow");
   ASSERT_TRUE(second.ok()) << second.status().ToString();
   EXPECT_EQ((*second)->generation(), 2u);
   EXPECT_EQ((*second)->source(), "builder:regrow");
@@ -139,9 +140,9 @@ TEST(SnapshotRegistryTest, PublishAndReloadBumpGenerations) {
 }
 
 TEST(SnapshotRegistryTest, ReloadFromFileRoundTrip) {
-  const std::string path = ::testing::TempDir() + "/snapshot_reload.kb";
+  const std::string path = ::testing::TempDir() + "/snapshot_reload.fkb";
   std::shared_ptr<const KnowledgeBase> kb = CloneTestKb();
-  ASSERT_TRUE(SaveKnowledgeBase(*kb, path).ok());
+  ASSERT_TRUE(flat::SaveFlatSnapshot(*kb, path).ok());
 
   SnapshotRegistry registry;
   ASSERT_TRUE(registry.Publish(kb, "initial").ok());
@@ -219,12 +220,7 @@ TEST(SnapshotRegistryTest, ConcurrentReadersAndReloadsAreClean) {
   }
   for (int reload = 0; reload < 3; ++reload) {
     auto published = registry.ReloadFromBuilder(
-        [] {
-          return util::StatusOr<std::unique_ptr<KnowledgeBase>>(
-              DeserializeKnowledgeBase(SerializeKnowledgeBase(
-                  *TestWorld::Get().world.knowledge_base)));
-        },
-        "builder:round-" + std::to_string(reload));
+        FlatCopyOfTestKb, "builder:round-" + std::to_string(reload));
     ASSERT_TRUE(published.ok());
   }
   stop.store(true);
@@ -307,13 +303,8 @@ TEST(SnapshotRegistryTest, InFlightRequestOutlivesTwoReloads) {
   std::future<serve::ServeResult> slow = service.Submit(problem);
   gate.WaitUntilEntered();  // the worker is inside generation 1
 
-  auto clone_builder = [] {
-    return util::StatusOr<std::unique_ptr<KnowledgeBase>>(
-        DeserializeKnowledgeBase(SerializeKnowledgeBase(
-            *TestWorld::Get().world.knowledge_base)));
-  };
-  ASSERT_TRUE(registry->ReloadFromBuilder(clone_builder, "gen2").ok());
-  ASSERT_TRUE(registry->ReloadFromBuilder(clone_builder, "gen3").ok());
+  ASSERT_TRUE(registry->ReloadFromBuilder(FlatCopyOfTestKb, "gen2").ok());
+  ASSERT_TRUE(registry->ReloadFromBuilder(FlatCopyOfTestKb, "gen3").ok());
 
   // Generation 1 is no longer current but must still be alive: the
   // in-flight request pins it.
@@ -360,16 +351,7 @@ TEST(SnapshotRegistryTest, ServicePicksUpNewGenerationPerDequeue) {
   ASSERT_TRUE(before.status.ok());
   EXPECT_EQ(before.generation, 1u);
 
-  ASSERT_TRUE(registry
-                  ->ReloadFromBuilder(
-                      [] {
-                        return util::StatusOr<
-                            std::unique_ptr<KnowledgeBase>>(
-                            DeserializeKnowledgeBase(SerializeKnowledgeBase(
-                                *TestWorld::Get().world.knowledge_base)));
-                      },
-                      "gen2")
-                  .ok());
+  ASSERT_TRUE(registry->ReloadFromBuilder(FlatCopyOfTestKb, "gen2").ok());
   serve::ServeResult after = service.Submit(problem).get();
   ASSERT_TRUE(after.status.ok());
   EXPECT_EQ(after.generation, 2u);
@@ -390,6 +372,126 @@ TEST(SnapshotRegistryTest, ServicePicksUpNewGenerationPerDequeue) {
   EXPECT_EQ(snapshot.metrics.generations[0].completed, 1u);
   EXPECT_EQ(snapshot.metrics.generations[1].generation, 2u);
   EXPECT_EQ(snapshot.metrics.generations[1].completed, 1u);
+}
+
+bool SameAnnotation(const core::DisambiguationResult& a,
+                    const core::DisambiguationResult& b) {
+  if (a.mentions.size() != b.mentions.size()) return false;
+  for (size_t m = 0; m < a.mentions.size(); ++m) {
+    if (a.mentions[m].entity != b.mentions[m].entity ||
+        a.mentions[m].score != b.mentions[m].score ||
+        a.mentions[m].candidate_scores != b.mentions[m].candidate_scores) {
+      return false;
+    }
+  }
+  return true;
+}
+
+TEST(SnapshotRegistryTest, ReloadFromFileUnderLoadServesEachGenerationExactly) {
+  // A hot reload from a flat file while four closed-loop clients keep two
+  // workers busy. Nothing may be shed, expire or fail across the swap,
+  // and every response must equal, bit for bit, a serial Disambiguate on
+  // the snapshot of the generation it reports.
+  const std::string path = ::testing::TempDir() + "/snapshot_under_load.fkb";
+  ASSERT_TRUE(
+      flat::SaveFlatSnapshot(*TestWorld::Get().world.knowledge_base, path)
+          .ok());
+  auto registry = std::make_shared<SnapshotRegistry>();
+  auto first = registry->Publish(CloneTestKb(), "gen1");
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+
+  std::vector<core::DisambiguationProblem> work;
+  for (const corpus::Document& doc : TestWorld::Get().corpus) {
+    work.push_back(ToProblem(doc));
+  }
+  serve::NedServiceOptions options;
+  options.num_threads = 2;
+  options.queue_capacity = 256;
+  serve::NedService service(registry, options);
+
+  struct Recorded {
+    size_t doc;
+    serve::ServeResult response;
+  };
+  constexpr size_t kClients = 4;
+  constexpr uint64_t kEnoughPerGeneration = 50;
+  std::mutex mutex;
+  std::condition_variable progress;
+  std::map<uint64_t, uint64_t> completed_by_generation;  // under `mutex`
+  bool stop = false;                                     // under `mutex`
+  std::vector<std::vector<Recorded>> recorded(kClients);
+  std::vector<std::thread> clients;
+  for (size_t c = 0; c < kClients; ++c) {
+    clients.emplace_back([&, c] {
+      for (size_t next = c;; ++next) {
+        {
+          std::lock_guard<std::mutex> lock(mutex);
+          if (stop) return;
+        }
+        const size_t doc = next % work.size();
+        serve::ServeResult response = service.Submit(work[doc]).get();
+        if (response.status.ok()) {
+          std::lock_guard<std::mutex> lock(mutex);
+          ++completed_by_generation[response.generation];
+          progress.notify_all();
+        }
+        recorded[c].push_back({doc, std::move(response)});
+      }
+    });
+  }
+  // A generous bound: the wait ends as soon as the count is reached.
+  auto wait_for_completions = [&](uint64_t generation) {
+    std::unique_lock<std::mutex> lock(mutex);
+    return progress.wait_for(lock, std::chrono::seconds(120), [&] {
+      return completed_by_generation[generation] >= kEnoughPerGeneration;
+    });
+  };
+
+  const bool served_first = wait_for_completions(1);
+  util::StatusOr<std::shared_ptr<const KbSnapshot>> second =
+      util::Status::Internal("no reload: generation 1 never served");
+  if (served_first) second = registry->ReloadFromFile(path);
+  const bool served_second = second.ok() && wait_for_completions(2);
+  {
+    std::lock_guard<std::mutex> lock(mutex);
+    stop = true;
+  }
+  for (std::thread& client : clients) client.join();
+  service.Drain();
+  std::remove(path.c_str());
+
+  ASSERT_TRUE(served_first);
+  ASSERT_TRUE(second.ok()) << second.status().ToString();
+  ASSERT_EQ((*second)->generation(), 2u);
+  ASSERT_TRUE(served_second);
+
+  // Serial gold per generation, on the very snapshot that served it.
+  std::map<uint64_t, std::vector<core::DisambiguationResult>> gold;
+  for (const std::shared_ptr<const KbSnapshot>& snapshot :
+       {*first, *second}) {
+    for (const core::DisambiguationProblem& problem : work) {
+      gold[snapshot->generation()].push_back(
+          snapshot->system().Disambiguate(problem, {}));
+    }
+  }
+  size_t not_served = 0;
+  size_t mismatches = 0;
+  for (const std::vector<Recorded>& responses : recorded) {
+    for (const Recorded& r : responses) {
+      if (!r.response.status.ok()) {
+        ++not_served;
+        continue;
+      }
+      auto it = gold.find(r.response.generation);
+      if (it == gold.end() ||
+          !SameAnnotation(r.response.result, it->second[r.doc])) {
+        ++mismatches;
+      }
+    }
+  }
+  EXPECT_EQ(not_served, 0u) << "responses shed, expired or failed";
+  EXPECT_EQ(mismatches, 0u)
+      << "responses differing from their generation's serial Disambiguate";
 }
 
 }  // namespace

@@ -1,7 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <filesystem>
+#include <fstream>
 #include <set>
+#include <string>
+#include <vector>
 
 #include "util/rng.h"
 #include "util/serialize.h"
@@ -201,68 +206,7 @@ TEST(ZipfSamplerTest, SampleInRangeAndSkewed) {
   EXPECT_NEAR(static_cast<double>(head) / n, zipf.Pmf(0), 0.03);
 }
 
-// ---- Binary serialization ------------------------------------------------------
-
-TEST(SerializeTest, RoundTripScalars) {
-  BinaryWriter writer;
-  writer.WriteU32(7);
-  writer.WriteU64(1ull << 40);
-  writer.WriteI64(-12345);
-  writer.WriteDouble(3.25);
-  writer.WriteString("hello");
-
-  BinaryReader reader(writer.buffer());
-  uint32_t u32 = 0;
-  uint64_t u64 = 0;
-  int64_t i64 = 0;
-  double d = 0;
-  std::string s;
-  ASSERT_TRUE(reader.ReadU32(&u32).ok());
-  ASSERT_TRUE(reader.ReadU64(&u64).ok());
-  ASSERT_TRUE(reader.ReadI64(&i64).ok());
-  ASSERT_TRUE(reader.ReadDouble(&d).ok());
-  ASSERT_TRUE(reader.ReadString(&s).ok());
-  EXPECT_EQ(u32, 7u);
-  EXPECT_EQ(u64, 1ull << 40);
-  EXPECT_EQ(i64, -12345);
-  EXPECT_EQ(d, 3.25);
-  EXPECT_EQ(s, "hello");
-  EXPECT_TRUE(reader.AtEnd());
-}
-
-TEST(SerializeTest, RoundTripVectors) {
-  BinaryWriter writer;
-  std::vector<uint32_t> ids = {1, 2, 3, 99};
-  std::vector<std::string> names = {"a", "bb", ""};
-  writer.WriteVector(ids);
-  writer.WriteStringVector(names);
-
-  BinaryReader reader(writer.buffer());
-  std::vector<uint32_t> ids2;
-  std::vector<std::string> names2;
-  ASSERT_TRUE(reader.ReadVector(&ids2).ok());
-  ASSERT_TRUE(reader.ReadStringVector(&names2).ok());
-  EXPECT_EQ(ids2, ids);
-  EXPECT_EQ(names2, names);
-}
-
-TEST(SerializeTest, TruncatedInputFails) {
-  BinaryWriter writer;
-  writer.WriteU64(1);
-  std::string data = writer.buffer().substr(0, 3);
-  BinaryReader reader(data);
-  uint64_t v = 0;
-  EXPECT_FALSE(reader.ReadU64(&v).ok());
-}
-
-TEST(SerializeTest, TruncatedStringFails) {
-  BinaryWriter writer;
-  writer.WriteString("long string content");
-  std::string data = writer.buffer().substr(0, 10);
-  BinaryReader reader(data);
-  std::string s;
-  EXPECT_FALSE(reader.ReadString(&s).ok());
-}
+// ---- Files ---------------------------------------------------------------
 
 TEST(SerializeTest, FileRoundTrip) {
   std::string path = ::testing::TempDir() + "/aida_serialize_test.bin";
@@ -278,6 +222,35 @@ TEST(SerializeTest, MissingFileFails) {
   StatusOr<std::string> read = ReadFile("/nonexistent/path/file.bin");
   EXPECT_FALSE(read.ok());
   EXPECT_EQ(read.status().code(), StatusCode::kIoError);
+}
+
+TEST(SerializeTest, WriteFileReplacesWithoutLeavingSiblings) {
+  namespace fs = std::filesystem;
+  const fs::path dir = fs::path(::testing::TempDir()) / "aida_write_file";
+  fs::remove_all(dir);
+  ASSERT_TRUE(fs::create_directory(dir));
+  const std::string path = (dir / "target.bin").string();
+  ASSERT_TRUE(WriteFile(path, "first, and longer").ok());
+  ASSERT_TRUE(WriteFile(path, "second").ok());
+  EXPECT_EQ(ReadFile(path).value(), "second");
+  // The replacement gets the mode a plain new file gets.
+  std::ofstream((dir / "reference").string()) << "x";
+  EXPECT_EQ(fs::status(path).permissions(),
+            fs::status(dir / "reference").permissions());
+
+  // A replace that fails (the target is a directory) removes its
+  // sibling file too.
+  ASSERT_TRUE(fs::create_directory(dir / "blocked"));
+  EXPECT_FALSE(WriteFile((dir / "blocked").string(), "never lands").ok());
+
+  std::vector<std::string> names;
+  for (const fs::directory_entry& entry : fs::directory_iterator(dir)) {
+    names.push_back(entry.path().filename().string());
+  }
+  std::sort(names.begin(), names.end());
+  EXPECT_EQ(names,
+            (std::vector<std::string>{"blocked", "reference", "target.bin"}));
+  fs::remove_all(dir);
 }
 
 }  // namespace

@@ -1,21 +1,26 @@
 // Command-line interface to the library:
 //
-//   aida_cli generate-kb <out.kb> [entities] [topics] [seed]
-//       Generates a synthetic knowledge base and saves it.
+//   aida_cli generate-kb <out.fkb> [entities] [topics] [seed]
+//       Generates a synthetic knowledge base and saves it as a flat
+//       snapshot (kb/flat/flat_snapshot.h).
 //   aida_cli inspect <kb>
 //       Prints knowledge-base statistics.
 //   aida_cli annotate <kb> [mw|kore|kore-lsh-g|kore-lsh-f]
 //       Reads text from stdin (one document per line), recognizes and
 //       disambiguates mentions, prints one "mention -> entity" line each.
-//   aida_cli generate-corpus <out.kb> <out.corpus> [docs] [seed]
+//   aida_cli generate-corpus <out.fkb> <out.corpus> [docs] [seed]
 //       Generates a synthetic world AND a matching gold-annotated corpus
 //       (the equivalent of the datasets the paper published).
+//
+// Counts and seeds are base-10 integers, counts at least 1; anything else
+// prints the usage and exits 2. A KB that fails to load exits 1.
 //
 // The synthetic generator stands in for a Wikipedia/YAGO importer; the
 // annotate pipeline (tokenizer -> NER -> AIDA) is the production path.
 
+#include <algorithm>
+#include <charconv>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <iostream>
 #include <memory>
@@ -23,6 +28,7 @@
 
 #include "core/aida.h"
 #include "corpus/corpus_io.h"
+#include "kb/flat/flat_snapshot.h"
 #include "kb/kb_serialization.h"
 #include "kore/kore_lsh.h"
 #include "kore/kore_relatedness.h"
@@ -39,24 +45,39 @@ int Usage() {
   std::fprintf(
       stderr,
       "usage:\n"
-      "  aida_cli generate-kb <out.kb> [entities] [topics] [seed]\n"
+      "  aida_cli generate-kb <out.fkb> [entities] [topics] [seed]\n"
       "  aida_cli inspect <kb>\n"
       "  aida_cli annotate <kb> [mw|kore|kore-lsh-g|kore-lsh-f]\n"
-      "  aida_cli generate-corpus <out.kb> <out.corpus> [docs] [seed]\n");
+      "  aida_cli generate-corpus <out.fkb> <out.corpus> [docs] [seed]\n");
   return 2;
+}
+
+/// Parses all of `text` as a base-10 integer: no sign, no blanks, no
+/// trailing characters, no overflow.
+template <typename T>
+bool ParseNumber(const char* text, T* value) {
+  const char* end = text + std::strlen(text);
+  const auto [stop, error] = std::from_chars(text, end, *value, 10);
+  return error == std::errc() && stop == end;
+}
+
+bool ParseCount(const char* text, size_t* count) {
+  return ParseNumber(text, count) && *count > 0;
 }
 
 int GenerateKb(int argc, char** argv) {
   if (argc < 1) return Usage();
-  synth::WorldConfig config;
-  config.num_entities = argc > 1 ? std::strtoul(argv[1], nullptr, 10) : 4000;
-  config.num_topics = argc > 2 ? std::strtoul(argv[2], nullptr, 10) : 40;
-  config.seed = argc > 3 ? std::strtoull(argv[3], nullptr, 10) : 42;
+  synth::WorldConfig config;  // 4000 entities, 40 topics, seed 42
+  if ((argc > 1 && !ParseCount(argv[1], &config.num_entities)) ||
+      (argc > 2 && !ParseCount(argv[2], &config.num_topics)) ||
+      (argc > 3 && !ParseNumber(argv[3], &config.seed))) {
+    return Usage();
+  }
   config.num_shared_names = std::max<size_t>(20, config.num_entities / 4);
 
   synth::World world = synth::WorldGenerator(config).Generate();
   util::Status status =
-      kb::SaveKnowledgeBase(*world.knowledge_base, argv[0]);
+      kb::flat::SaveFlatSnapshot(*world.knowledge_base, argv[0]);
   if (!status.ok()) {
     std::fprintf(stderr, "error: %s\n", status.ToString().c_str());
     return 1;
@@ -158,18 +179,16 @@ int Annotate(int argc, char** argv) {
 int GenerateCorpus(int argc, char** argv) {
   if (argc < 2) return Usage();
   synth::CorpusPreset preset = synth::ConllPreset();
-  if (argc > 2) {
-    preset.corpus.num_documents = std::strtoul(argv[2], nullptr, 10);
+  if ((argc > 2 && !ParseCount(argv[2], &preset.corpus.num_documents)) ||
+      (argc > 3 && !ParseNumber(argv[3], &preset.world.seed))) {
+    return Usage();
   }
-  if (argc > 3) {
-    preset.world.seed = std::strtoull(argv[3], nullptr, 10);
-    preset.corpus.seed = preset.world.seed ^ 0xC0FFEE;
-  }
+  if (argc > 3) preset.corpus.seed = preset.world.seed ^ 0xC0FFEE;
   synth::World world = synth::WorldGenerator(preset.world).Generate();
   corpus::Corpus docs =
       synth::CorpusGenerator(&world, preset.corpus).Generate();
   util::Status status =
-      kb::SaveKnowledgeBase(*world.knowledge_base, argv[0]);
+      kb::flat::SaveFlatSnapshot(*world.knowledge_base, argv[0]);
   if (status.ok()) status = corpus::SaveCorpus(docs, argv[1]);
   if (!status.ok()) {
     std::fprintf(stderr, "error: %s\n", status.ToString().c_str());

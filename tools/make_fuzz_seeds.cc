@@ -2,7 +2,7 @@
 //
 // Valid seeds are produced through the library's own serializers so they
 // track the current format; the crash-* regression inputs are crafted
-// byte-for-byte (via util::BinaryWriter or literal text) to reproduce
+// byte-for-byte (as literal text or through a serializer) to reproduce
 // crashers that were found while fuzzing and have since been fixed — the
 // fuzz_replay_* ctest tests replay them forever.
 //
@@ -16,9 +16,7 @@
 #include "corpus/corpus_io.h"
 #include "ingest/wiki_importer.h"
 #include "kb/flat/flat_snapshot.h"
-#include "kb/kb_serialization.h"
 #include "util/check.h"
-#include "util/serialize.h"
 
 namespace {
 
@@ -44,67 +42,6 @@ std::string PageTwo() {
   return aida::ingest::RenderWikiPage(
       "Led_Zeppelin", {"band"}, {"Zeppelin"}, {{"Jimmy_Page", "Page"}},
       "Led Zeppelin was founded by [[Jimmy_Page]] in 1968.\n");
-}
-
-// A snapshot that was accepted, then re-fed through the deserializer while
-// fuzzing: two entities with the same canonical name used to abort inside
-// EntityRepository::Add instead of returning an error Status.
-std::string DuplicateEntitySnapshot() {
-  aida::util::BinaryWriter w;
-  w.WriteU32(0xA1DA4B42);  // magic
-  w.WriteU32(1);           // version
-  w.WriteU64(0);           // taxonomy: no types
-  w.WriteU64(2);           // two entities...
-  w.WriteString("X");      // ...with the same name
-  w.WriteU64(0);           //    no types
-  w.WriteString("X");
-  w.WriteU64(0);
-  w.WriteU64(0);  // anchors
-  w.WriteU64(0);  // phrase vocabulary
-  w.WriteU64(2);  // per-entity phrase lists (must equal entity count)
-  w.WriteU64(0);
-  w.WriteU64(0);
-  w.WriteU64(0);  // links
-  return std::move(w).TakeBuffer();
-}
-
-// Same family: a duplicate type name used to abort in TypeTaxonomy::AddType.
-std::string DuplicateTypeSnapshot() {
-  aida::util::BinaryWriter w;
-  w.WriteU32(0xA1DA4B42);
-  w.WriteU32(1);
-  w.WriteU64(2);  // two types, same name
-  w.WriteString("t");
-  w.WriteU32(0xFFFFFFFFu);  // kNoType
-  w.WriteString("t");
-  w.WriteU32(0xFFFFFFFFu);
-  w.WriteU64(0);  // entities
-  w.WriteU64(0);  // anchors
-  w.WriteU64(0);  // phrases
-  w.WriteU64(0);  // per-entity phrase lists
-  w.WriteU64(0);  // links
-  return std::move(w).TakeBuffer();
-}
-
-// An all-space phrase text used to reach KeyphraseStore::InternPhrase's
-// non-empty-words invariant through AddKeyphrase.
-std::string EmptyPhraseSnapshot() {
-  aida::util::BinaryWriter w;
-  w.WriteU32(0xA1DA4B42);
-  w.WriteU32(1);
-  w.WriteU64(0);  // taxonomy
-  w.WriteU64(1);  // one entity
-  w.WriteString("X");
-  w.WriteU64(0);
-  w.WriteU64(0);      // anchors
-  w.WriteU64(1);      // one phrase...
-  w.WriteString(" "); // ...that splits into zero words
-  w.WriteU64(1);      // per-entity phrase lists
-  w.WriteU64(1);      // entity 0 references phrase 0
-  w.WriteU32(0);
-  w.WriteU32(3);
-  w.WriteU64(0);  // links
-  return std::move(w).TakeBuffer();
 }
 
 aida::corpus::Corpus SmallCorpus() {
@@ -139,21 +76,6 @@ aida::corpus::Corpus EmptyDocCorpus() {
 int main(int argc, char** argv) {
   std::filesystem::path root =
       argc > 1 ? argv[1] : "tests/fuzz/corpus";
-
-  // ---- kb_serialization --------------------------------------------------
-  {
-    aida::ingest::WikiImporter importer;
-    AIDA_CHECK_OK(importer.AddPage(PageOne()));
-    AIDA_CHECK_OK(importer.AddPage(PageTwo()));
-    std::string kb_bytes =
-        aida::kb::SerializeKnowledgeBase(*std::move(importer).Build());
-    const auto dir = root / "kb_serialization";
-    WriteSeed(dir, "seed_small.kb", kb_bytes);
-    WriteSeed(dir, "seed_truncated.kb", kb_bytes.substr(0, kb_bytes.size() / 2));
-    WriteSeed(dir, "crash-dup-entity.kb", DuplicateEntitySnapshot());
-    WriteSeed(dir, "crash-dup-type.kb", DuplicateTypeSnapshot());
-    WriteSeed(dir, "crash-empty-phrase.kb", EmptyPhraseSnapshot());
-  }
 
   // ---- flat_kb -----------------------------------------------------------
   {

@@ -6,7 +6,7 @@
 # smoke run over the untrusted-input parsers (also Clang-gated), then
 # the ASan/UBSan and TSan passes over the concurrency- and
 # lifetime-sensitive tests (batch runner, serving layer, snapshot
-# registry, KB serialization, fuzz corpus replay).
+# registry, flat KB loader, fuzz corpus replay).
 # Everything a PR must keep green, runnable locally exactly as the
 # GitHub Actions workflow runs it.
 #

@@ -36,7 +36,7 @@ cmake -B "$BUILD_DIR" -S "$REPO_ROOT" \
 cmake --build "$BUILD_DIR" -j --target batch_test serve_test \
   snapshot_test kb_serialization_test flat_kb_test hashing_test kore_test \
   graph_test core_test \
-  fuzz_kb_serialization fuzz_flat_kb fuzz_wiki_importer fuzz_corpus_io fuzz_tokenizer
+  fuzz_flat_kb fuzz_wiki_importer fuzz_corpus_io fuzz_tokenizer
 
 # halt_on_error fails fast; detect_leaks guards the promise/future and
 # flushed-request paths in the serving layer.
@@ -53,7 +53,7 @@ export UBSAN_OPTIONS="${UBSAN_OPTIONS:-halt_on_error=1:print_stacktrace=1}"
 "$BUILD_DIR/tests/core_test" --gtest_filter="$CORE_FILTER"
 
 # Sanitized corpus replay (standalone driver; no Clang needed).
-for surface in kb_serialization flat_kb wiki_importer corpus_io tokenizer; do
+for surface in flat_kb wiki_importer corpus_io tokenizer; do
   "$BUILD_DIR/tests/fuzz/fuzz_$surface" "$REPO_ROOT/tests/fuzz/corpus/$surface"
 done
 

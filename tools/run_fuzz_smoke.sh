@@ -1,8 +1,7 @@
 #!/usr/bin/env bash
-# Bounded libFuzzer smoke run over the five untrusted-input surfaces:
-# KB snapshot deserialization (v1 stream and flat mmap formats), the
-# wiki-page importer, the corpus text format, and the tokenizer/
-# sentence-splitter stack.
+# Bounded libFuzzer smoke run over the four untrusted-input surfaces:
+# the flat (mmap) KB snapshot loader, the wiki-page importer, the corpus
+# text format, and the tokenizer/sentence-splitter stack.
 #
 # Builds tests/fuzz/ with -DAIDA_FUZZERS=ON (Clang/libFuzzer) and
 # -DAIDA_SANITIZE=address (ASan+UBSan), then fuzzes each target for
@@ -19,7 +18,7 @@
 # failure — the gate can be unavailable locally, never silently
 # unavailable in CI.
 #
-# Usage: tools/run_fuzz_smoke.sh [target...]   (default: all five)
+# Usage: tools/run_fuzz_smoke.sh [target...]   (default: all four)
 #   FUZZ_SECONDS=N          per-target time budget (default 60)
 #   BUILD_DIR=build-fuzz    override the fuzzing build directory
 #   JOBS=N                  override build parallelism
@@ -33,8 +32,7 @@ JOBS="${JOBS:-$(nproc 2>/dev/null || echo 2)}"
 FUZZ_SECONDS="${FUZZ_SECONDS:-60}"
 REQUIRE="${AIDA_REQUIRE_FUZZ:-0}"
 
-ALL_TARGETS=(fuzz_kb_serialization fuzz_flat_kb fuzz_wiki_importer
-             fuzz_corpus_io fuzz_tokenizer)
+ALL_TARGETS=(fuzz_flat_kb fuzz_wiki_importer fuzz_corpus_io fuzz_tokenizer)
 TARGETS=("${@:-${ALL_TARGETS[@]}}")
 
 find_tool() {

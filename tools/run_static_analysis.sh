@@ -341,7 +341,7 @@ phase_clang_build() {
     bench_corpus_stats bench_aida_accuracy bench_relatedness_quality \
     bench_kore_ned bench_kore_longtail bench_kore_efficiency \
     bench_confidence bench_ee_discovery bench_ee_pipeline bench_ee_days \
-    bench_apps bench_serve bench_micro bench_kb_load bench_ablation \
+    bench_apps bench_micro bench_ablation \
     || return 1
   if [[ "$fe" == ON ]]; then
     echo "    OK: thread-safety + lifetime + function-effect clean Clang build"

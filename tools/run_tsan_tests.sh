@@ -25,7 +25,7 @@ GRAPH_FILTER="${1:-*}"
 cmake -B "$BUILD_DIR" -S "$REPO_ROOT" \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DAIDA_SANITIZE=thread
-cmake --build "$BUILD_DIR" -j --target mutex_test batch_test serve_test snapshot_test kb_serialization_test \
+cmake --build "$BUILD_DIR" -j --target mutex_test batch_test serve_test snapshot_test \
   hashing_test kore_test graph_test
 
 # halt_on_error makes the first race fail fast with a non-zero exit.
