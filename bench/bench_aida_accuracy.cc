@@ -5,6 +5,10 @@
 //
 // Results are also written to BENCH_aida_accuracy.json at the repo root
 // for machine consumption.
+//
+// Exits nonzero unless the "r-coh + rel-cache" row, full AIDA behind a
+// shared RelatednessCache, has exactly the macro and micro accuracy of
+// the uncached full-AIDA row and evaluates fewer relatedness pairs.
 
 #include <cstdio>
 #include <memory>
@@ -98,12 +102,14 @@ int main() {
     rows.push_back(
         Evaluate("r-prior sim-k coh", system, docs, test_first, test_last));
   }
+  const size_t full_row = rows.size();
   {  // r-prior sim-k r-coh: full AIDA
     core::AidaOptions options;
     core::Aida system(&models, &mw, options);
     rows.push_back(
         Evaluate("r-prior sim-k r-coh", system, docs, test_first, test_last));
   }
+  const size_t cached_row = rows.size();
   {  // full AIDA with a shared relatedness cache: same accuracy, fewer
      // relatedness evaluations (cross-document pair reuse)
     core::RelatednessCache cache;
@@ -154,6 +160,21 @@ int main() {
       "full AIDA > ablations > collective Kulkarni > prior > Cucerzan.\n"
       "'r-coh + rel-cache' must match full AIDA's accuracy exactly while\n"
       "evaluating fewer relatedness pairs (the rest are cache hits).\n");
+  const Row& full = rows[full_row];
+  const Row& cached = rows[cached_row];
+  const bool same_accuracy =
+      cached.macro == full.macro && cached.micro == full.micro;
+  const bool fewer_evals = cached.stats.relatedness_computations <
+                           full.stats.relatedness_computations;
+  std::printf("  %s rel-cache accuracy %.2f / %.2f == r-coh %.2f / %.2f\n",
+              same_accuracy ? "PASS" : "FAIL", cached.macro, cached.micro,
+              full.macro, full.micro);
+  std::printf("  %s rel-cache evaluations %llu < r-coh %llu\n",
+              fewer_evals ? "PASS" : "FAIL",
+              static_cast<unsigned long long>(
+                  cached.stats.relatedness_computations),
+              static_cast<unsigned long long>(
+                  full.stats.relatedness_computations));
 
   const std::string json_path =
       bench::JsonOutputPath("BENCH_aida_accuracy.json");
@@ -179,5 +200,9 @@ int main() {
   std::fprintf(out, "  ]\n}\n");
   std::fclose(out);
   std::printf("wrote %s\n", json_path.c_str());
+  if (!same_accuracy || !fewer_evals) {
+    std::fprintf(stderr, "rel-cache check FAILED (see above)\n");
+    return 1;
+  }
   return 0;
 }

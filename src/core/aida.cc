@@ -233,7 +233,8 @@ DisambiguationResult Aida::Disambiguate(
 
   // ---- Map back and score all original candidates -----------------------------
   std::vector<const Candidate*> chosen(num_mentions, nullptr);
-  std::vector<uint32_t> chosen_slot(num_mentions, 0);
+  std::vector<uint32_t> chosen_slot(num_mentions,
+                                    DocumentEntityTable::kNoSlot);
   std::vector<int32_t> chosen_original(num_mentions, -1);
   for (size_t m = 0; m < num_mentions; ++m) {
     if (sol.chosen_candidate[m] < 0) continue;
@@ -247,7 +248,10 @@ DisambiguationResult Aida::Disambiguate(
   // Weighted-degree style candidate scores: local weight plus coherence to
   // the entities chosen for the other mentions (used by the confidence
   // machinery of Section 5.4). A pair the measure's filter does not keep
-  // adds nothing, as it adds no edge to the graph.
+  // adds nothing, as it adds no edge to the graph. A pair of in-KB
+  // entities reads the value the graph build or an earlier candidate
+  // already had from the measure; only the others reach the measure.
+  entities.Project(chosen_slot);
   std::vector<std::vector<double>> rescored(num_mentions);
   for (size_t m = 0; m < num_mentions; ++m) {
     if (tripped()) break;
@@ -261,15 +265,19 @@ DisambiguationResult Aida::Disambiguate(
       for (size_t other = 0; other < num_mentions; ++other) {
         if (other == m || chosen[other] == nullptr) continue;
         if (!entities.Kept(slots[c], chosen_slot[other])) continue;
-        bool cache_hit = false;
-        coherence += cands[c].weight_scale * chosen[other]->weight_scale *
-                     relatedness_->RelatednessTracked(cands[c], *chosen[other],
-                                                      &cache_hit);
-        if (cache_hit) {
-          ++result.stats.relatedness_cache_hits;
-        } else {
-          ++result.stats.relatedness_computations;
+        double rel;
+        if (!entities.Recall(slots[c], chosen_slot[other], &rel)) {
+          bool cache_hit = false;
+          rel = relatedness_->RelatednessTracked(cands[c], *chosen[other],
+                                                 &cache_hit);
+          if (cache_hit) {
+            ++result.stats.relatedness_cache_hits;
+          } else {
+            ++result.stats.relatedness_computations;
+          }
+          entities.Remember(slots[c], chosen_slot[other], rel);
         }
+        coherence += cands[c].weight_scale * chosen[other]->weight_scale * rel;
       }
       scores[c] = options_.me_scale * combined[m][c] +
                   options_.ee_scale * coherence /

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <limits>
 
 #include "util/status.h"
 
@@ -28,6 +29,8 @@ void DocumentEntityTable::Build(
     for (const Candidate& cand : *cands) slots_.push_back(SlotOf(cand));
   }
   offsets_.push_back(slots_.size());
+  remembered_.clear();
+  projected_ = false;
 
   filtered_ = relatedness.has_pair_filter();
   const size_t n = entities_.size();
@@ -38,6 +41,40 @@ void DocumentEntityTable::Build(
     AIDA_CHECK(a < n && b < n);
     kept_[a * row_words_ + b / 64] |= uint64_t{1} << (b % 64);
     kept_[b * row_words_ + a / 64] |= uint64_t{1} << (a % 64);
+  }
+}
+
+void DocumentEntityTable::Remember(uint32_t a, uint32_t b, double value) {
+  if (entities_[a]->is_placeholder || entities_[b]->is_placeholder) return;
+  if (projected_) {
+    Store(a, b, value);
+  } else {
+    remembered_.push_back({a, b, value});
+  }
+}
+
+void DocumentEntityTable::Project(std::span<const uint32_t> chosen) {
+  column_of_slot_.assign(entities_.size(), kNoSlot);
+  columns_ = 0;
+  for (const uint32_t slot : chosen) {
+    if (slot == kNoSlot || column_of_slot_[slot] != kNoSlot) continue;
+    column_of_slot_[slot] = static_cast<uint32_t>(columns_++);
+  }
+  values_.assign(entities_.size() * columns_,
+                 std::numeric_limits<double>::quiet_NaN());
+  for (const RememberedPair& pair : remembered_) {
+    Store(pair.a, pair.b, pair.value);
+  }
+  projected_ = true;
+}
+
+// The measure is bit-symmetric, so one value serves both orientations.
+void DocumentEntityTable::Store(uint32_t a, uint32_t b, double value) {
+  if (column_of_slot_[b] != kNoSlot) {
+    values_[a * columns_ + column_of_slot_[b]] = value;
+  }
+  if (column_of_slot_[a] != kNoSlot) {
+    values_[b * columns_ + column_of_slot_[a]] = value;
   }
 }
 
@@ -99,7 +136,7 @@ BuildScratch& ThisThreadScratch() {
 }  // namespace
 
 MentionEntityGraph BuildMentionEntityGraph(
-    const GraphBuildInput& input, const DocumentEntityTable& entities,
+    const GraphBuildInput& input, DocumentEntityTable& entities,
     const RelatednessMeasure& relatedness,
     const GraphBuildContext& context) {
   MentionEntityGraph meg;
@@ -187,6 +224,7 @@ MentionEntityGraph BuildMentionEntityGraph(
     bool cache_hit = false;
     double rel = relatedness.RelatednessTracked(
         *meg.entity_candidates[i], *meg.entity_candidates[j], &cache_hit);
+    entities.Remember(slot_of_node[i], slot_of_node[j], rel);
     rel *= meg.entity_candidates[i]->weight_scale *
            meg.entity_candidates[j]->weight_scale;
     if (cache_hit) {

@@ -1,6 +1,7 @@
 #ifndef AIDA_CORE_MENTION_ENTITY_GRAPH_H_
 #define AIDA_CORE_MENTION_ENTITY_GRAPH_H_
 
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -20,13 +21,25 @@ namespace aida::core {
 /// distinct in-KB entity gets one slot and each placeholder candidate a
 /// private one, numbered by first occurrence. Under a measure with a pair
 /// filter, the table also records which slot pairs the filter keeps;
-/// pairs it does not keep are unrelated (Section 4.4.2). Reusable: a warm
-/// Build allocates only what FilterPairs returns.
+/// pairs it does not keep are unrelated (Section 4.4.2).
+///
+/// The table also keeps the document's relatedness values, so that the
+/// measure is asked at most once per pair of in-KB slots: the graph build
+/// remembers every such pair it evaluates, Project lays those values out
+/// against the slots the solver chose, and the re-scoring reads them
+/// there. Placeholder pairs are never kept: their models are private to
+/// the document, and KORE cannot order two placeholders, so they go to
+/// the measure on every call. Reusable: a warm Build allocates only what
+/// FilterPairs returns.
 class DocumentEntityTable {
  public:
+  /// Marks "no slot", e.g. a mention without a chosen entity.
+  static constexpr uint32_t kNoSlot = 0xFFFFFFFFu;
+
   /// Rebuilds the table over one document's candidate lists, one list per
-  /// mention (none null). Under a measure with a pair filter, calls
-  /// FilterPairs exactly once, over the first candidate of every slot.
+  /// mention (none null), and forgets every remembered value. Under a
+  /// measure with a pair filter, calls FilterPairs exactly once, over the
+  /// first candidate of every slot.
   void Build(std::span<const std::vector<Candidate>* const> mentions,
              const RelatednessMeasure& relatedness);
 
@@ -48,10 +61,37 @@ class DocumentEntityTable {
            ((kept_[a * row_words_ + b / 64] >> (b % 64)) & 1) != 0;
   }
 
+  /// Keeps `value`, the measure's raw relatedness of slots `a` and `b`
+  /// (before any weight scale), when both slots are in-KB entities; a
+  /// no-op for a pair with a placeholder. Before Project the value is
+  /// queued; after it, it is stored if either slot was chosen.
+  void Remember(uint32_t a, uint32_t b, double value);
+
+  /// Lays the remembered values out for the re-scoring, one column per
+  /// distinct slot in `chosen` (one entry per mention, kNoSlot for none).
+  /// Its size is slots x chosen columns, never slots x slots.
+  void Project(std::span<const uint32_t> chosen);
+
+  /// The remembered relatedness of slot `a` and chosen slot `b`, if any.
+  /// Only valid after Project.
+  bool Recall(uint32_t a, uint32_t b, double* value) const {
+    const uint32_t column = column_of_slot_[b];
+    if (column == kNoSlot) return false;
+    const double v = values_[a * columns_ + column];
+    if (std::isnan(v)) return false;
+    *value = v;
+    return true;
+  }
+
  private:
-  static constexpr uint32_t kNoSlot = 0xFFFFFFFFu;
+  struct RememberedPair {
+    uint32_t a;
+    uint32_t b;
+    double value;
+  };
 
   uint32_t SlotOf(const Candidate& cand);
+  void Store(uint32_t a, uint32_t b, double value);
 
   // Per mention, where its slots start in `slots_`; one extra at the end.
   std::vector<size_t> offsets_;
@@ -67,6 +107,14 @@ class DocumentEntityTable {
   // rows of a pair.
   size_t row_words_ = 0;
   std::vector<uint64_t> kept_;
+  // The in-KB pairs remembered before Project, in evaluation order.
+  std::vector<RememberedPair> remembered_;
+  bool projected_ = false;
+  // Per slot: its column in `values_`, or kNoSlot if no mention chose it.
+  std::vector<uint32_t> column_of_slot_;
+  // Row-major slots x columns_; NaN where nothing is remembered.
+  size_t columns_ = 0;
+  std::vector<double> values_;
 };
 
 /// Input to graph construction: one entry per mention with its candidates
@@ -148,8 +196,10 @@ struct GraphBuildContext {
 /// FilterPairs call of its own. Entity nodes are deduplicated, so each
 /// qualifying pair is evaluated exactly once per document, in ascending
 /// node order, and its edge is folded in as soon as its value is known.
+/// The build remembers each evaluated value in `entities`
+/// (DocumentEntityTable::Remember) for the re-scoring.
 MentionEntityGraph BuildMentionEntityGraph(
-    const GraphBuildInput& input, const DocumentEntityTable& entities,
+    const GraphBuildInput& input, DocumentEntityTable& entities,
     const RelatednessMeasure& relatedness,
     const GraphBuildContext& context = {});
 

@@ -83,13 +83,17 @@ struct MentionResult {
 /// mutable state; sum them with operator+= for batch-level totals.
 struct DisambiguationStats {
   /// Evaluations of the underlying RelatednessMeasure performed on behalf
-  /// of this call (cache misses, when a cache is in play).
+  /// of this call (cache misses, when a cache is in play). Only calls
+  /// that reach the measure count: a value Aida's re-scoring reads from
+  /// the document's own table (DocumentEntityTable) counts neither here
+  /// nor as a cache hit.
   uint64_t relatedness_computations = 0;
   /// The part of relatedness_computations spent building the
   /// mention-entity graph: the entity-entity comparisons that Table 4.4
   /// counts, without the final re-scoring of every candidate.
   uint64_t graph_relatedness_computations = 0;
-  /// Pair values served from a shared RelatednessCache instead.
+  /// Calls that reached the measure and were served from a shared
+  /// RelatednessCache instead of an evaluation.
   uint64_t relatedness_cache_hits = 0;
   /// Graph-solver work: greedy peel steps plus post-processing
   /// (exhaustive assignments or local-search proposals) evaluated.

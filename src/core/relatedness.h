@@ -34,7 +34,10 @@ class RelatednessMeasure {
 
   virtual std::string name() const = 0;
 
-  /// Relatedness in [0, 1]; must be symmetric.
+  /// Relatedness in [0, 1]; must be symmetric, bit for bit for two in-KB
+  /// candidates: the shared cache and Aida's per-document table
+  /// (DocumentEntityTable) keep one value per unordered in-KB pair and
+  /// serve it for both orientations.
   virtual double Relatedness(const Candidate& a, const Candidate& b) const = 0;
 
   /// Like Relatedness(), but additionally reports whether the value was
@@ -52,6 +55,12 @@ class RelatednessMeasure {
 
   /// True if the measure pre-filters candidate pairs (LSH variants).
   virtual bool has_pair_filter() const { return false; }
+
+  /// Whether a shared RelatednessCache pays for this measure, that is,
+  /// whether a cache probe costs less than an evaluation. KbSnapshot
+  /// serves a measure that says false without a cache. Decorators that do
+  /// not forward this keep the default, and with it the cache.
+  virtual bool worth_caching() const { return true; }
 
   /// Returns index pairs (into `candidates`) worth computing, sorted
   /// ascending and unique, each with first < second; pairs not returned
@@ -105,6 +114,9 @@ class MilneWittenRelatedness : public RelatednessMeasure {
 
   std::string name() const override { return "mw"; }
   double Relatedness(const Candidate& a, const Candidate& b) const override;
+  /// False: an MW evaluation costs less than a probe of the shared
+  /// cache, even a probe that hits (DESIGN.md §5a).
+  bool worth_caching() const override { return false; }
 
   /// Id-based form used by tests and by callers without Candidate wrappers.
   /// AIDA_NONBLOCKING: the concrete scoring kernel — in-link counts plus

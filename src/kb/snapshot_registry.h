@@ -25,10 +25,13 @@ class KbSnapshot;
 
 /// How a snapshot assembles its disambiguation stack from a loaded
 /// knowledge base. The defaults reproduce the canonical serving setup:
-/// Milne-Witten relatedness behind a per-snapshot RelatednessCache,
-/// driving a full Aida system. Factories let callers swap in KORE / LSH
-/// measures or an entirely different NedSystem (baselines, test doubles)
-/// without bypassing the snapshot lifecycle.
+/// Milne-Witten relatedness, evaluated directly, driving a full Aida
+/// system. Factories let callers swap in KORE / LSH measures or an
+/// entirely different NedSystem (baselines, test doubles) without
+/// bypassing the snapshot lifecycle. A measure whose worth_caching() is
+/// true (KORE and its LSH variants) is served behind a per-snapshot
+/// RelatednessCache; Milne-Witten, whose evaluation is cheaper than a
+/// cache probe, is not.
 struct SnapshotOptions {
   /// Builds the base relatedness measure over the snapshot's KB. When
   /// null, MilneWittenRelatedness is used.
@@ -36,8 +39,8 @@ struct SnapshotOptions {
       const KnowledgeBase& kb)>
       relatedness_factory;
   /// Builds the NED system over the snapshot's candidate models and its
-  /// (cache-decorated) relatedness measure. When null, core::Aida with
-  /// `aida` options is used.
+  /// relatedness measure (cache-decorated when the measure is worth
+  /// caching). When null, core::Aida with `aida` options is used.
   std::function<std::unique_ptr<core::NedSystem>(
       const core::CandidateModelStore* models,
       const core::RelatednessMeasure* relatedness)>
@@ -45,20 +48,22 @@ struct SnapshotOptions {
   /// Options for the default Aida system (ignored when system_factory is
   /// set).
   core::AidaOptions aida;
-  /// Sizing of the per-snapshot relatedness cache. Each generation gets a
-  /// fresh cache: entity ids are only stable within one KB build, so
-  /// carrying cached pair values across generations would serve values
-  /// computed against a different link graph.
+  /// Sizing of the per-snapshot relatedness cache, for a measure that is
+  /// worth caching; unused otherwise. Each generation gets a fresh cache:
+  /// entity ids are only stable within one KB build, so carrying cached
+  /// pair values across generations would serve values computed against a
+  /// different link graph.
   core::RelatednessCacheOptions cache;
 };
 
 /// One immutable, generation-numbered knowledge-base snapshot: the KB
 /// itself plus every derived serving structure built over it — candidate
-/// model store (dictionary/keyphrase views), per-snapshot relatedness
-/// cache, cache-decorated relatedness measure, and the NED system that
-/// serves requests against this generation. All members are constructed
-/// together and destruct together, so a request that pins the snapshot
-/// via shared_ptr can use any part of the stack without lifetime checks.
+/// model store (dictionary/keyphrase views), relatedness measure (behind
+/// a per-snapshot cache when the measure is worth caching), and the NED
+/// system that serves requests against this generation. All members are
+/// constructed together and destruct together, so a request that pins
+/// the snapshot via shared_ptr can use any part of the stack without
+/// lifetime checks.
 ///
 /// Snapshots are created by SnapshotRegistry (or the static factories
 /// below) and are immutable afterwards; sharing one across threads needs
@@ -104,6 +109,8 @@ class KbSnapshot {
 
   /// Null for wrapped systems.
   const core::CandidateModelStore* models() const { return models_.get(); }
+  /// Null for wrapped systems and for a measure not worth caching (the
+  /// default Milne-Witten stack).
   const core::RelatednessCache* relatedness_cache() const {
     return cache_.get();
   }
@@ -116,7 +123,8 @@ class KbSnapshot {
 
   // Declaration order is construction order and reverse destruction
   // order: the system references the measure, the measure references the
-  // cache and KB, the models reference the KB.
+  // cache and KB, the models reference the KB. The cache and the cached
+  // measure are null for a measure not worth caching.
   std::shared_ptr<const KnowledgeBase> kb_;
   std::unique_ptr<const core::CandidateModelStore> models_;
   std::unique_ptr<core::RelatednessCache> cache_;

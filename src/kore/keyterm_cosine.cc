@@ -48,11 +48,17 @@ std::unordered_map<uint64_t, double> PhraseVector(
   return vec;
 }
 
+// Iterates the smaller vector; on a tie, `a`'s when `a_is_lower` (its
+// entity id is not above `b`'s), as KORE does. The summation order of the
+// dot product, and with it every bit of the result, then does not depend
+// on argument order.
 template <typename Key>
 double Cosine(const std::unordered_map<Key, double>& a,
-              const std::unordered_map<Key, double>& b) {
-  const auto& small = a.size() <= b.size() ? a : b;
-  const auto& large = a.size() <= b.size() ? b : a;
+              const std::unordered_map<Key, double>& b, bool a_is_lower) {
+  const bool a_is_small =
+      a.size() != b.size() ? a.size() < b.size() : a_is_lower;
+  const auto& small = a_is_small ? a : b;
+  const auto& large = a_is_small ? b : a;
   double dot = 0.0;
   for (const auto& [key, weight] : small) {
     auto it = large.find(key);
@@ -79,10 +85,11 @@ double KeytermCosineRelatedness::Relatedness(const core::Candidate& a,
 
 double KeytermCosineRelatedness::RelatednessOfModels(
     const core::CandidateModel& a, const core::CandidateModel& b) const {
+  const bool a_is_lower = a.entity <= b.entity;
   if (mode_ == Mode::kKeyword) {
-    return Cosine(KeywordVector(a), KeywordVector(b));
+    return Cosine(KeywordVector(a), KeywordVector(b), a_is_lower);
   }
-  return Cosine(PhraseVector(a), PhraseVector(b));
+  return Cosine(PhraseVector(a), PhraseVector(b), a_is_lower);
 }
 
 }  // namespace aida::kore

@@ -4,18 +4,23 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <initializer_list>
+#include <map>
 #include <memory>
 #include <set>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
 #include "core/aida.h"
 #include "core/candidates.h"
+#include "core/mention_entity_graph.h"
 #include "kore/keyterm_cosine.h"
 #include "kore/kore_lsh.h"
 #include "kore/kore_relatedness.h"
 #include "synth/presets.h"
+#include "synth/world_generator.h"
 #include "test_world.h"
 #include "util/alloc_probe.h"
 
@@ -149,8 +154,69 @@ class KoreTest : public ::testing::Test {
     }
   }
 
+  // The CoNLL-like test documents, and heavy-shaped ones whose names
+  // repeat across mentions.
+  std::vector<const corpus::Document*> RescoringDocuments() {
+    if (heavy_docs_.empty()) {
+      synth::CorpusConfig heavy = synth::ConllPreset().corpus;
+      heavy.seed = 994;
+      heavy.num_documents = 6;
+      heavy.doc_tokens = 500;
+      heavy.entities_per_doc = 35;
+      heavy.mention_repeat = 1.5;
+      heavy_docs_ = synth::CorpusGenerator(&world_, heavy).Generate();
+    }
+    std::vector<const corpus::Document*> docs;
+    for (const corpus::Document& doc : TestWorld::Get().corpus) {
+      docs.push_back(&doc);
+    }
+    for (const corpus::Document& doc : heavy_docs_) docs.push_back(&doc);
+    return docs;
+  }
+
+  // `doc` with dictionary lookups, or with every third mention's list
+  // resolved by the caller and carrying a placeholder (its first
+  // candidate's keyphrase model at half weight). Every other such
+  // placeholder leads its list, so a mention the coherence test fixes
+  // keeps a candidate other than its first. The in-KB candidates of a
+  // resolved list carry `kb_weight_scale`.
+  core::DisambiguationProblem MakeProblem(const corpus::Document& doc,
+                                          bool placeholders,
+                                          double kb_weight_scale = 1.0) const {
+    core::DisambiguationProblem problem;
+    problem.tokens = &doc.tokens;
+    for (size_t m = 0; m < doc.mentions.size(); ++m) {
+      const corpus::GoldMention& gm = doc.mentions[m];
+      core::ProblemMention pm;
+      pm.surface = gm.surface;
+      pm.begin_token = gm.begin_token;
+      pm.end_token = gm.end_token;
+      if (placeholders && m % 3 == 0) {
+        pm.candidates = core::LookupCandidates(models_, gm.surface);
+        for (core::Candidate& cand : pm.candidates) {
+          cand.weight_scale = kb_weight_scale;
+        }
+        auto model = std::make_shared<core::CandidateModel>(
+            pm.candidates.empty() ? *models_.ModelFor(0)
+                                  : *pm.candidates.front().model);
+        model->entity = kb::kNoEntity;
+        core::Candidate placeholder;
+        placeholder.model = std::move(model);
+        placeholder.is_placeholder = true;
+        placeholder.weight_scale = 0.5;
+        pm.candidates.insert(m % 2 == 0 ? pm.candidates.begin()
+                                        : pm.candidates.end(),
+                             std::move(placeholder));
+        pm.candidates_resolved = true;
+      }
+      problem.mentions.push_back(std::move(pm));
+    }
+    return problem;
+  }
+
   const synth::World& world_;
   core::CandidateModelStore models_;
+  corpus::Corpus heavy_docs_;
 };
 
 TEST_F(KoreTest, SameTopicMoreRelated) {
@@ -440,55 +506,9 @@ TEST_F(KoreTest, LshRescoringMatchesKeptPairsOracle) {
   const KoreLshRelatedness good = KoreLshRelatedness::Good(&store);
   const KoreLshRelatedness fast = KoreLshRelatedness::Fast(&store);
 
-  // The CoNLL-like test documents, and heavy-shaped ones whose names
-  // repeat across mentions.
-  std::vector<const corpus::Document*> docs;
-  for (const corpus::Document& doc : TestWorld::Get().corpus) {
-    docs.push_back(&doc);
-  }
-  synth::CorpusConfig heavy = synth::ConllPreset().corpus;
-  heavy.seed = 994;
-  heavy.num_documents = 6;
-  heavy.doc_tokens = 500;
-  heavy.entities_per_doc = 35;
-  heavy.mention_repeat = 1.5;
-  const corpus::Corpus heavy_docs =
-      synth::CorpusGenerator(&world_, heavy).Generate();
-  for (const corpus::Document& doc : heavy_docs) docs.push_back(&doc);
-
-  // Each document twice: with dictionary lookups, and with every third
-  // mention's list resolved by the caller and carrying a placeholder (its
-  // first candidate's keyphrase model at half weight). Every other such
-  // placeholder leads its list, so a mention the coherence test fixes
-  // keeps a candidate other than its first.
-  auto make_problem = [&](const corpus::Document& doc, bool placeholders) {
-    core::DisambiguationProblem problem;
-    problem.tokens = &doc.tokens;
-    for (size_t m = 0; m < doc.mentions.size(); ++m) {
-      const corpus::GoldMention& gm = doc.mentions[m];
-      core::ProblemMention pm;
-      pm.surface = gm.surface;
-      pm.begin_token = gm.begin_token;
-      pm.end_token = gm.end_token;
-      if (placeholders && m % 3 == 0) {
-        pm.candidates = core::LookupCandidates(models_, gm.surface);
-        auto model = std::make_shared<core::CandidateModel>(
-            pm.candidates.empty() ? *models_.ModelFor(0)
-                                  : *pm.candidates.front().model);
-        model->entity = kb::kNoEntity;
-        core::Candidate placeholder;
-        placeholder.model = std::move(model);
-        placeholder.is_placeholder = true;
-        placeholder.weight_scale = 0.5;
-        pm.candidates.insert(m % 2 == 0 ? pm.candidates.begin()
-                                        : pm.candidates.end(),
-                             std::move(placeholder));
-        pm.candidates_resolved = true;
-      }
-      problem.mentions.push_back(std::move(pm));
-    }
-    return problem;
-  };
+  // Each document twice: with dictionary lookups, and with caller-resolved
+  // lists that carry placeholders.
+  const std::vector<const corpus::Document*> docs = RescoringDocuments();
 
   size_t placeholder_mentions = 0;
   size_t repeated_entities = 0;
@@ -503,7 +523,7 @@ TEST_F(KoreTest, LshRescoringMatchesKeptPairsOracle) {
         SCOPED_TRACE(lsh->name() + " document " + std::to_string(d) +
                      (placeholders ? " with placeholders" : ""));
         const core::DisambiguationProblem problem =
-            make_problem(*docs[d], placeholders);
+            MakeProblem(*docs[d], placeholders);
         const core::DisambiguationResult got =
             filtered.Disambiguate(problem, {});
         const core::DisambiguationResult want =
@@ -549,6 +569,283 @@ TEST_F(KoreTest, LshRescoringMatchesKeptPairsOracle) {
   }
   EXPECT_GE(placeholder_mentions, 100u);
   EXPECT_GE(repeated_entities, 100u);
+}
+
+// Every relatedness measure in src/ gives the same bits in both argument
+// orders for in-KB pairs: the snapshot cache and Aida's per-document table
+// keep one value per unordered pair and serve it for both. Pairs of equal
+// size (phrase count for KORE, keyword or phrase vector size for the
+// cosines) are where argument order could pick the iterated side.
+TEST(RelatednessSymmetryTest, EveryMeasureIsBitSymmetricOnInKbPairs) {
+  const synth::World world =
+      synth::WorldGenerator(synth::ConllPreset().world).Generate();
+  const kb::KnowledgeBase& kb = *world.knowledge_base;
+  core::CandidateModelStore models(&kb);
+  const core::MilneWittenRelatedness mw(&kb);
+  const KoreRelatedness kore;
+  const KoreLshRelatedness lsh_g = KoreLshRelatedness::Good(&kb.keyphrases());
+  const KoreLshRelatedness lsh_f = KoreLshRelatedness::Fast(&kb.keyphrases());
+  const KeytermCosineRelatedness kwcs(KeytermCosineRelatedness::Mode::kKeyword);
+  const KeytermCosineRelatedness kpcs(
+      KeytermCosineRelatedness::Mode::kKeyphrase);
+
+  constexpr kb::EntityId kEntities = 450;  // 100,925 pairs
+  ASSERT_GE(kb.entity_count(), kEntities);
+  std::vector<core::Candidate> cands(kEntities);
+  // Per entity: its phrase count, distinct keywords and distinct phrases
+  // (as word multisets), the sizes each measure compares.
+  std::vector<size_t> phrases(kEntities);
+  std::vector<size_t> keywords(kEntities);
+  std::vector<size_t> phrase_keys(kEntities);
+  for (kb::EntityId e = 0; e < kEntities; ++e) {
+    cands[e].entity = e;
+    cands[e].model = models.ModelFor(e);
+    std::set<kb::WordId> words;
+    std::set<std::multiset<kb::WordId>> keys;
+    for (const core::CandidatePhrase& phrase : cands[e].model->phrases) {
+      words.insert(phrase.words.begin(), phrase.words.end());
+      keys.emplace(phrase.words.begin(), phrase.words.end());
+    }
+    phrases[e] = cands[e].model->phrases.size();
+    keywords[e] = words.size();
+    phrase_keys[e] = keys.size();
+  }
+
+  const struct {
+    const core::RelatednessMeasure* measure;
+    const std::vector<size_t>* sizes;
+  } cases[] = {{&mw, nullptr},       {&kore, &phrases},
+               {&lsh_g, &phrases},   {&lsh_f, &phrases},
+               {&kwcs, &keywords},   {&kpcs, &phrase_keys}};
+  for (const auto& [measure, sizes] : cases) {
+    SCOPED_TRACE(measure->name());
+    size_t pairs = 0;
+    size_t ties = 0;
+    for (kb::EntityId e = 0; e < kEntities; ++e) {
+      for (kb::EntityId f = e + 1; f < kEntities; ++f) {
+        EXPECT_EQ(Bits(measure->Relatedness(cands[e], cands[f])),
+                  Bits(measure->Relatedness(cands[f], cands[e])))
+            << "entities " << e << " and " << f;
+        ++pairs;
+        ties += sizes != nullptr && (*sizes)[e] == (*sizes)[f];
+      }
+    }
+    EXPECT_GE(pairs, 100000u);
+    if (sizes != nullptr) {
+      EXPECT_GE(ties, 20u);
+    }
+  }
+}
+
+// Exact KORE, except that a pair with a placeholder scores by operand
+// order: halved when the in-KB candidate comes first. In-KB pairs stay
+// symmetric, as the interface requires; placeholder pairs are as
+// unordered as KORE is for two placeholders. A re-scoring that reused a
+// placeholder pair's value from the graph build would read the other
+// orientation.
+class PlaceholderOrderSensitive final : public core::RelatednessMeasure {
+ public:
+  std::string name() const override { return "placeholder-order"; }
+  double Relatedness(const core::Candidate& a,
+                     const core::Candidate& b) const override {
+    const double value = kore_.Relatedness(a, b);
+    return !a.is_placeholder && b.is_placeholder ? 0.5 * value : value;
+  }
+
+ private:
+  KoreRelatedness kore_;
+};
+
+// Aida's candidate scores as the re-scoring computed them before it kept
+// the document's relatedness values: one call of the measure per kept
+// (candidate, chosen entity) pair, with the candidate first and the other
+// mentions in order. The local weights come from `local`, a run without
+// coherence; the chosen candidates from `full`.
+std::vector<std::vector<double>> RescoreOracle(
+    const core::CandidateModelStore& models,
+    const core::RelatednessMeasure& measure,
+    const core::DisambiguationProblem& problem,
+    const core::DisambiguationResult& local,
+    const core::DisambiguationResult& full) {
+  const core::AidaOptions options;
+  const size_t n = problem.mentions.size();
+  std::vector<std::vector<core::Candidate>> lists(n);
+  std::vector<const std::vector<core::Candidate>*> list_ptrs(n);
+  for (size_t m = 0; m < n; ++m) {
+    const core::ProblemMention& pm = problem.mentions[m];
+    lists[m] = pm.candidates_resolved
+                   ? pm.candidates
+                   : core::LookupCandidates(models, pm.surface);
+    list_ptrs[m] = &lists[m];
+  }
+  core::DocumentEntityTable table;
+  table.Build(list_ptrs, measure);
+
+  // The chosen candidate of each mention, or -1.
+  std::vector<int> chosen(n, -1);
+  for (size_t m = 0; m < n; ++m) {
+    const core::MentionResult& r = full.mentions[m];
+    if (!r.chose_placeholder && r.entity == kb::kNoEntity) continue;
+    for (size_t c = 0; c < lists[m].size(); ++c) {
+      const core::Candidate& cand = lists[m][c];
+      if (r.chose_placeholder ? cand.is_placeholder
+                              : !cand.is_placeholder &&
+                                    cand.entity == r.entity) {
+        chosen[m] = static_cast<int>(c);
+        break;
+      }
+    }
+  }
+
+  std::vector<std::vector<double>> scores(n);
+  for (size_t m = 0; m < n; ++m) {
+    const std::span<const uint32_t> slots = table.Slots(m);
+    for (size_t c = 0; c < lists[m].size(); ++c) {
+      const core::Candidate& cand = lists[m][c];
+      double coherence = 0.0;
+      for (size_t other = 0; other < n; ++other) {
+        if (other == m || chosen[other] < 0) continue;
+        const size_t o = static_cast<size_t>(chosen[other]);
+        if (!table.Kept(slots[c], table.Slots(other)[o])) continue;
+        const core::Candidate& pick = lists[other][o];
+        coherence += cand.weight_scale * pick.weight_scale *
+                     measure.Relatedness(cand, pick);
+      }
+      scores[m].push_back(
+          options.me_scale * local.mentions[m].candidate_scores[c] +
+          options.ee_scale * coherence /
+              std::max<double>(1.0, static_cast<double>(n)));
+    }
+  }
+  return scores;
+}
+
+// The re-scoring reads relatedness values the graph build already had
+// from the measure. Every score must keep the bits of asking the measure
+// once per kept pair, under every measure in src/ and under one whose
+// placeholder pairs depend on operand order. The inputs carry
+// placeholders, lists a fixed mention keeps a non-first candidate of,
+// in-KB weight scales other than 1, and entities several mentions share.
+TEST_F(KoreTest, RescoringMatchesPerPairMeasureOracle) {
+  const kb::KeyphraseStore& store = world_.knowledge_base->keyphrases();
+  const core::MilneWittenRelatedness mw(world_.knowledge_base.get());
+  const KoreRelatedness kore;
+  const KoreLshRelatedness lsh_g = KoreLshRelatedness::Good(&store);
+  const KoreLshRelatedness lsh_f = KoreLshRelatedness::Fast(&store);
+  const KeytermCosineRelatedness kwcs(KeytermCosineRelatedness::Mode::kKeyword);
+  const KeytermCosineRelatedness kpcs(
+      KeytermCosineRelatedness::Mode::kKeyphrase);
+  const PlaceholderOrderSensitive ordered;
+
+  core::AidaOptions local_options;
+  local_options.use_coherence = false;
+  const std::vector<const corpus::Document*> docs = RescoringDocuments();
+  const size_t test_docs = TestWorld::Get().corpus.size();
+  size_t compared = 0;
+  for (const core::RelatednessMeasure* measure :
+       std::initializer_list<const core::RelatednessMeasure*>{
+           &mw, &kore, &lsh_g, &lsh_f, &kwcs, &kpcs, &ordered}) {
+    const core::Aida full_aida(&models_, measure, core::AidaOptions());
+    const core::Aida local_aida(&models_, measure, local_options);
+    // The cosines build hash maps per call: the heavy documents would take
+    // seconds under them.
+    const bool cosine = measure == &kwcs || measure == &kpcs;
+    const size_t num_docs = cosine ? test_docs : docs.size();
+    for (size_t d = 0; d < num_docs; ++d) {
+      for (const bool placeholders : {false, true}) {
+        SCOPED_TRACE(measure->name() + " document " + std::to_string(d) +
+                     (placeholders ? " with placeholders" : ""));
+        const core::DisambiguationProblem problem =
+            MakeProblem(*docs[d], placeholders, /*kb_weight_scale=*/0.75);
+        const core::DisambiguationResult full =
+            full_aida.Disambiguate(problem, {});
+        const core::DisambiguationResult local =
+            local_aida.Disambiguate(problem, {});
+        const std::vector<std::vector<double>> want =
+            RescoreOracle(models_, *measure, problem, local, full);
+        ASSERT_EQ(full.mentions.size(), want.size());
+        for (size_t m = 0; m < want.size(); ++m) {
+          const core::MentionResult& got = full.mentions[m];
+          ASSERT_EQ(got.candidate_scores.size(), want[m].size());
+          int chosen = -1;
+          for (size_t c = 0; c < want[m].size(); ++c) {
+            EXPECT_EQ(Bits(got.candidate_scores[c]), Bits(want[m][c]))
+                << "mention " << m << " candidate " << c;
+            const bool picked =
+                got.chose_placeholder
+                    ? got.candidate_is_placeholder[c]
+                    : !got.candidate_is_placeholder[c] &&
+                          got.candidate_entities[c] == got.entity;
+            if (picked && chosen < 0) chosen = static_cast<int>(c);
+            ++compared;
+          }
+          if (got.chose_placeholder || got.entity != kb::kNoEntity) {
+            ASSERT_GE(chosen, 0) << "mention " << m;
+            EXPECT_EQ(Bits(got.score), Bits(want[m][chosen]))
+                << "mention " << m;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GE(compared, 20000u);
+}
+
+// Forwards to `inner` and counts its calls per unordered in-KB entity
+// pair.
+class PairCounter final : public core::RelatednessMeasure {
+ public:
+  explicit PairCounter(const core::RelatednessMeasure* inner)
+      : inner_(inner) {}
+  std::string name() const override { return inner_->name(); }
+  double Relatedness(const core::Candidate& a,
+                     const core::Candidate& b) const override {
+    if (!a.is_placeholder && !b.is_placeholder) {
+      ++calls_[std::minmax(a.entity, b.entity)];
+    }
+    return inner_->Relatedness(a, b);
+  }
+  bool has_pair_filter() const override { return inner_->has_pair_filter(); }
+  std::vector<std::pair<uint32_t, uint32_t>> FilterPairs(
+      const std::vector<const core::Candidate*>& candidates) const override {
+    return inner_->FilterPairs(candidates);
+  }
+
+  // The most calls any pair got since the last call, then forgets them.
+  size_t TakeMostCalls(size_t* pairs) const {
+    size_t most = 0;
+    for (const auto& [pair, calls] : calls_) most = std::max(most, calls);
+    *pairs = calls_.size();
+    calls_.clear();
+    return most;
+  }
+
+ private:
+  const core::RelatednessMeasure* inner_;
+  mutable std::map<std::pair<kb::EntityId, kb::EntityId>, size_t> calls_;
+};
+
+// One Disambiguate call asks the measure at most once about each unordered
+// pair of in-KB entities, with and without a pair filter.
+TEST_F(KoreTest, DisambiguateAsksEachInKbPairAtMostOnce) {
+  const core::MilneWittenRelatedness mw(world_.knowledge_base.get());
+  const KoreLshRelatedness lsh_g =
+      KoreLshRelatedness::Good(&world_.knowledge_base->keyphrases());
+  size_t pairs_seen = 0;
+  for (const core::RelatednessMeasure* inner :
+       std::initializer_list<const core::RelatednessMeasure*>{&mw, &lsh_g}) {
+    const PairCounter counter(inner);
+    const core::Aida aida(&models_, &counter, core::AidaOptions());
+    for (const corpus::Document* doc : RescoringDocuments()) {
+      for (const bool placeholders : {false, true}) {
+        aida.Disambiguate(MakeProblem(*doc, placeholders), {});
+        size_t pairs = 0;
+        EXPECT_LE(counter.TakeMostCalls(&pairs), 1u) << inner->name();
+        pairs_seen += pairs;
+      }
+    }
+  }
+  EXPECT_GE(pairs_seen, 10000u);
 }
 
 }  // namespace

@@ -744,6 +744,46 @@ TEST(NedServiceTest, SharedRelatednessCacheServesConcurrentRequests) {
   }
 }
 
+// The default snapshot serves Milne-Witten without a cache: four workers
+// evaluate it directly, and their results equal serial uncached ones.
+TEST(NedServiceTest, UncachedMilneWittenSnapshotServesConcurrentRequests) {
+  const TestWorld& tw = TestWorld::Get();
+  core::CandidateModelStore models(tw.world.knowledge_base.get());
+  const core::MilneWittenRelatedness mw(tw.world.knowledge_base.get());
+  const core::Aida plain(&models, &mw, core::AidaOptions());
+  std::vector<core::DisambiguationProblem> problems;
+  std::vector<core::DisambiguationResult> reference;
+  for (const corpus::Document& doc : tw.corpus) {
+    problems.push_back(ToProblem(doc));
+    reference.push_back(plain.Disambiguate(problems.back(), {}));
+  }
+
+  // The snapshot shares the test world's KB without owning it.
+  auto snapshot = kb::KbSnapshot::Create(
+      std::shared_ptr<const kb::KnowledgeBase>(
+          std::shared_ptr<const void>(), tw.world.knowledge_base.get()),
+      /*generation=*/1, "mw");
+  ASSERT_TRUE(snapshot.ok()) << snapshot.status().ToString();
+  ASSERT_EQ((*snapshot)->relatedness_cache(), nullptr);
+  NedServiceOptions options;
+  options.num_threads = 4;
+  options.queue_capacity = 16;
+  NedService service(*snapshot, options);
+  std::vector<ServeResult> served = service.DisambiguateAll(problems);
+
+  ASSERT_EQ(served.size(), reference.size());
+  for (size_t d = 0; d < served.size(); ++d) {
+    ASSERT_TRUE(served[d].status.ok()) << served[d].status.ToString();
+    ExpectSameResults(reference[d], served[d].result);
+  }
+  EXPECT_FALSE(service.Snapshot().has_cache);
+  const core::DisambiguationStats served_total =
+      AggregateCompletedStats(served);
+  EXPECT_EQ(served_total.relatedness_computations,
+            core::AggregateStats(reference).relatedness_computations);
+  EXPECT_EQ(served_total.relatedness_cache_hits, 0u);
+}
+
 // ---------------------------------------------------------------------------
 // Apps over a service handle
 

@@ -23,6 +23,7 @@
 #include "kb/flat/flat_snapshot.h"
 #include "kb/kb_builder.h"
 #include "kb/snapshot_registry.h"
+#include "kore/kore_lsh.h"
 #include "serve/ned_service.h"
 #include "test_world.h"
 
@@ -84,13 +85,36 @@ TEST(KbSnapshotTest, CreateBuildsFullServingStack) {
   ASSERT_TRUE(snap.has_knowledge_base());
   EXPECT_EQ(&snap.knowledge_base(), kb.get());
   EXPECT_NE(snap.models(), nullptr);
-  EXPECT_NE(snap.relatedness_cache(), nullptr);
+  // Milne-Witten evaluates faster than a cache probe: no cache.
+  EXPECT_EQ(snap.relatedness_cache(), nullptr);
 
   // The bundled system is servable end to end.
   core::DisambiguationProblem problem =
       ToProblem(TestWorld::Get().corpus.front());
   core::DisambiguationResult result = snap.system().Disambiguate(problem, {});
   EXPECT_EQ(result.mentions.size(), problem.mentions.size());
+  EXPECT_GT(result.stats.relatedness_computations, 0u);
+  EXPECT_EQ(result.stats.relatedness_cache_hits, 0u);
+
+  // KORE-LSH-G, built through a factory, is served behind a cache.
+  SnapshotOptions lsh;
+  lsh.relatedness_factory = [](const KnowledgeBase& kb) {
+    return std::make_unique<kore::KoreLshRelatedness>(
+        kore::KoreLshRelatedness::Good(&kb.keyphrases()));
+  };
+  auto cached = KbSnapshot::Create(kb, /*generation=*/8, "lsh", lsh);
+  ASSERT_TRUE(cached.ok()) << cached.status().ToString();
+  ASSERT_NE((*cached)->relatedness_cache(), nullptr);
+  const core::DisambiguationResult first =
+      (*cached)->system().Disambiguate(problem, {});
+  const core::DisambiguationResult second =
+      (*cached)->system().Disambiguate(problem, {});
+  EXPECT_GT(first.stats.relatedness_computations, 0u);
+  EXPECT_EQ(second.stats.relatedness_computations, 0u);
+  EXPECT_GT(second.stats.relatedness_cache_hits, 0u);
+  EXPECT_EQ((*cached)->relatedness_cache()->Snapshot().hits,
+            first.stats.relatedness_cache_hits +
+                second.stats.relatedness_cache_hits);
 }
 
 TEST(KbSnapshotTest, CreateRejectsInvalidKb) {
