@@ -185,6 +185,12 @@ DisambiguationResult Aida::Disambiguate(
   // thread across requests.
   thread_local DocumentEntityTable entities;
   entities.Build(candidates, *relatedness_);
+  // However the request ends, the worker keeps a bounded part of the
+  // document's relatedness values.
+  const struct ReleaseOnExit {
+    DocumentEntityTable& table;
+    ~ReleaseOnExit() { table.Release(); }
+  } release_on_exit{entities};
   GraphBuildInput input;
   input.me_scale = options_.me_scale;
   input.ee_scale = options_.ee_scale;

@@ -68,6 +68,12 @@ void DocumentEntityTable::Project(std::span<const uint32_t> chosen) {
   projected_ = true;
 }
 
+void DocumentEntityTable::Release() {
+  if (value_bytes() <= kRetainedValueBytes) return;
+  remembered_ = std::vector<RememberedPair>();
+  values_ = std::vector<double>();
+}
+
 // The measure is bit-symmetric, so one value serves both orientations.
 void DocumentEntityTable::Store(uint32_t a, uint32_t b, double value) {
   if (column_of_slot_[b] != kNoSlot) {

@@ -29,12 +29,18 @@ namespace aida::core {
 /// against the slots the solver chose, and the re-scoring reads them
 /// there. Placeholder pairs are never kept: their models are private to
 /// the document, and KORE cannot order two placeholders, so they go to
-/// the measure on every call. Reusable: a warm Build allocates only what
-/// FilterPairs returns.
+/// the measure on every call. The values take 16 bytes per remembered
+/// pair, as many as the graph build evaluates (about slots² / 2 under a
+/// measure without a pair filter), plus slots x chosen columns doubles.
+/// Reusable: a warm Build allocates only what FilterPairs returns, and
+/// Release bounds what a worker keeps of a large document.
 class DocumentEntityTable {
  public:
   /// Marks "no slot", e.g. a mention without a chosen entity.
   static constexpr uint32_t kNoSlot = 0xFFFFFFFFu;
+  /// The most value storage Release leaves in place for the next
+  /// document; more than any news_stream or heavy_kore document needs.
+  static constexpr size_t kRetainedValueBytes = 256 * 1024;
 
   /// Rebuilds the table over one document's candidate lists, one list per
   /// mention (none null), and forgets every remembered value. Under a
@@ -81,6 +87,18 @@ class DocumentEntityTable {
     if (std::isnan(v)) return false;
     *value = v;
     return true;
+  }
+
+  /// Ends the document: frees the value storage if it exceeds
+  /// kRetainedValueBytes, so that one large document does not stay
+  /// resident on the worker that served it.
+  void Release();
+
+  /// Bytes reserved for values: the remembered pairs and the projected
+  /// array.
+  size_t value_bytes() const {
+    return remembered_.capacity() * sizeof(RememberedPair) +
+           values_.capacity() * sizeof(double);
   }
 
  private:

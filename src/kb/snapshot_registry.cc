@@ -35,23 +35,17 @@ util::StatusOr<std::shared_ptr<const KbSnapshot>> KbSnapshot::Create(
   snapshot->source_ = std::move(source);
   snapshot->models_ = std::make_unique<core::CandidateModelStore>(
       snapshot->kb_.get());
-  if (options.relatedness_factory) {
-    // The cache is allocated before the measure it may serve: built after
-    // it, heavy_kore's p99 rose and its RSS fell in paired runs, for a
-    // cause not found (DESIGN.md §5k).
-    snapshot->cache_ = std::make_unique<core::RelatednessCache>(options.cache);
-    snapshot->base_measure_ = options.relatedness_factory(*snapshot->kb_);
-    if (snapshot->base_measure_ == nullptr) {
-      return util::Status::InvalidArgument(
-          "relatedness_factory returned null");
-    }
-    if (!snapshot->base_measure_->worth_caching()) snapshot->cache_.reset();
-  } else {
-    snapshot->base_measure_ =
-        std::make_unique<core::MilneWittenRelatedness>(snapshot->kb_.get());
+  snapshot->base_measure_ =
+      options.relatedness_factory
+          ? options.relatedness_factory(*snapshot->kb_)
+          : std::make_unique<core::MilneWittenRelatedness>(
+                snapshot->kb_.get());
+  if (snapshot->base_measure_ == nullptr) {
+    return util::Status::InvalidArgument("relatedness_factory returned null");
   }
   const core::RelatednessMeasure* measure = snapshot->base_measure_.get();
-  if (snapshot->cache_ != nullptr) {
+  if (measure->worth_caching()) {
+    snapshot->cache_ = std::make_unique<core::RelatednessCache>(options.cache);
     snapshot->cached_measure_ =
         std::make_unique<core::CachedRelatednessMeasure>(
             measure, snapshot->cache_.get());

@@ -121,10 +121,10 @@ class KbSnapshot {
  private:
   KbSnapshot() = default;
 
-  // Declaration order is construction order and reverse destruction
-  // order: the system references the measure, the measure references the
-  // cache and KB, the models reference the KB. The cache and the cached
-  // measure are null for a measure not worth caching.
+  // Members are destroyed in reverse declaration order: the system
+  // references the measure, the cached measure references the cache and
+  // the base measure, the measure and models reference the KB. The cache
+  // and the cached measure are null for a measure not worth caching.
   std::shared_ptr<const KnowledgeBase> kb_;
   std::unique_ptr<const core::CandidateModelStore> models_;
   std::unique_ptr<core::RelatednessCache> cache_;

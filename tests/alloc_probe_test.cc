@@ -353,5 +353,54 @@ TEST(AllocProbeTest, WarmCachedRequestStaysWithinAllocationBound) {
             0.9 * static_cast<double>(probe.allocations()));
 }
 
+// When a request ends, Aida frees the relatedness values of a document
+// too large to keep (DocumentEntityTable::Release) and keeps those of a
+// small one: a small document served after a large one grows its value
+// storage again, one served after a small one does not.
+TEST(AllocProbeTest, AidaKeepsOnlyASmallDocumentsRelatednessValues) {
+  SKIP_WITHOUT_PROBE();
+  const testing::TestWorld& world = testing::TestWorld::Get();
+  core::CandidateModelStore models(world.world.knowledge_base.get());
+  const core::MilneWittenRelatedness mw(world.world.knowledge_base.get());
+  const core::Aida aida(&models, &mw, core::AidaOptions());
+  // `mentions` mentions with `width` distinct, caller-resolved in-KB
+  // candidates each. Zero priors fail the prior test, so no mention is
+  // fixed and MW is asked about every pair of candidates of two mentions.
+  const auto make = [&](size_t mentions, size_t width) {
+    core::DisambiguationProblem problem;
+    problem.tokens = &world.corpus.front().tokens;
+    for (size_t m = 0; m < mentions; ++m) {
+      core::ProblemMention pm;
+      pm.surface = "mention";
+      pm.begin_token = 0;
+      pm.end_token = 1;
+      for (size_t c = 0; c < width; ++c) {
+        core::Candidate cand;
+        cand.entity = static_cast<kb::EntityId>(m * width + c);
+        cand.model = models.ModelFor(cand.entity);
+        pm.candidates.push_back(std::move(cand));
+      }
+      pm.candidates_resolved = true;
+      problem.mentions.push_back(std::move(pm));
+    }
+    return problem;
+  };
+  // 720 pairs, and 44,250: 11 KB and 708 KB of queued values.
+  const core::DisambiguationProblem small = make(10, 4);
+  const core::DisambiguationProblem large = make(60, 5);
+  const auto allocations = [&](const core::DisambiguationProblem& problem) {
+    util::ScopedAllocationCount probe;
+    (void)aida.Disambiguate(problem, {});
+    return probe.allocations();
+  };
+  allocations(large);  // sizes every other per-thread buffer
+  allocations(small);
+  const uint64_t after_small = allocations(small);
+  allocations(large);
+  const uint64_t after_large = allocations(small);
+  EXPECT_GT(after_large, after_small);
+  EXPECT_EQ(allocations(small), after_small);
+}
+
 }  // namespace
 }  // namespace aida

@@ -848,5 +848,57 @@ TEST_F(KoreTest, DisambiguateAsksEachInKbPairAtMostOnce) {
   EXPECT_GE(pairs_seen, 10000u);
 }
 
+// The table's values take 16 bytes per in-KB pair the graph build
+// evaluates, plus a double per slot and chosen column. Without a pair
+// filter that is about 8 bytes x slots², so Release frees the values of a
+// large document and keeps those of a small one for the next.
+TEST_F(KoreTest, EntityTableValueStorageIsBoundedBetweenDocuments) {
+  const core::MilneWittenRelatedness mw(world_.knowledge_base.get());
+  core::DocumentEntityTable table;
+  // One document of `mentions` mentions with `width` distinct in-KB
+  // candidates each, every mention choosing its first.
+  auto serve = [&](size_t mentions, size_t width) {
+    SCOPED_TRACE(std::to_string(mentions) + " x " + std::to_string(width));
+    std::vector<std::vector<core::Candidate>> lists(mentions);
+    std::vector<const std::vector<core::Candidate>*> list_ptrs;
+    core::GraphBuildInput input;
+    input.mentions.resize(mentions);
+    for (size_t m = 0; m < mentions; ++m) {
+      for (size_t c = 0; c < width; ++c) {
+        lists[m].push_back(
+            MakeCandidate(static_cast<kb::EntityId>(m * width + c)));
+      }
+      list_ptrs.push_back(&lists[m]);
+      input.mentions[m].candidates = &lists[m];
+      input.mentions[m].me_weights.assign(width, 0.5);
+    }
+    const size_t before = table.value_bytes();
+    table.Build(list_ptrs, mw);
+    const core::MentionEntityGraph meg =
+        core::BuildMentionEntityGraph(input, table, mw);
+    const size_t pairs = meg.relatedness_computations;
+    EXPECT_EQ(pairs, mentions * width * (mentions - 1) * width / 2);
+    std::vector<uint32_t> chosen;
+    for (size_t m = 0; m < mentions; ++m) chosen.push_back(table.Slots(m)[0]);
+    table.Project(chosen);
+    EXPECT_GE(table.value_bytes(), 16 * pairs);
+    EXPECT_LE(table.value_bytes(),
+              before + 32 * pairs + 8 * table.size() * mentions);
+    table.Release();
+    return pairs;
+  };
+
+  EXPECT_LT(16 * serve(10, 4), core::DocumentEntityTable::kRetainedValueBytes);
+  const size_t small = table.value_bytes();
+  EXPECT_GT(small, 0u);
+  EXPECT_LE(small, core::DocumentEntityTable::kRetainedValueBytes);
+
+  EXPECT_GT(16 * serve(60, 5), core::DocumentEntityTable::kRetainedValueBytes);
+  EXPECT_EQ(table.value_bytes(), 0u);
+
+  serve(10, 4);
+  EXPECT_EQ(table.value_bytes(), small);
+}
+
 }  // namespace
 }  // namespace aida::kore

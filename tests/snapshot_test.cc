@@ -115,6 +115,16 @@ TEST(KbSnapshotTest, CreateBuildsFullServingStack) {
   EXPECT_EQ((*cached)->relatedness_cache()->Snapshot().hits,
             first.stats.relatedness_cache_hits +
                 second.stats.relatedness_cache_hits);
+
+  // The measure decides, however it was built: MW through a factory is
+  // served without a cache too.
+  SnapshotOptions mw;
+  mw.relatedness_factory = [](const KnowledgeBase& kb) {
+    return std::make_unique<core::MilneWittenRelatedness>(&kb);
+  };
+  auto uncached = KbSnapshot::Create(kb, /*generation=*/9, "mw", mw);
+  ASSERT_TRUE(uncached.ok()) << uncached.status().ToString();
+  EXPECT_EQ((*uncached)->relatedness_cache(), nullptr);
 }
 
 TEST(KbSnapshotTest, CreateRejectsInvalidKb) {
